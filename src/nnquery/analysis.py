@@ -27,6 +27,7 @@ from .pwl import (
     pwl_eval,
     pwl_from_network,
     pwl_restrict,
+    sign_position,
 )
 from .query import (
     build_query_arrangement,
@@ -293,7 +294,7 @@ def _integrate_cells(f: PwlFunction, box: Box) -> Fraction:
             continue
         x = cell.sample[:m]
         z = cell.sample[m]
-        pos = "".join("+" if affine_eval(h, x) > 0 else "-" for h in f.breakplanes)
+        pos = sign_position(f.breakplanes, x)
         comp = f.component(pos)
         if comp is None:
             raise ValueError(
@@ -526,7 +527,8 @@ def counterfactual_explain(subject, a, threshold, box: Box, metric: str = "linf"
         cons_cell = _closure_constraints(cd, cell)
         cons, objective, n_vars = _distance_lp(cons_cell, d, m, a, metric)
         status = minimize(objective, cons, n_vars)
-        assert status[0] == "optimal", "cell closure distance LP must be solvable"
+        if status[0] != "optimal":
+            raise RuntimeError("cell closure distance LP must be solvable")
         per_cell.append((status[1], cell, cons, n_vars))
         if best is None or status[1] < best:
             best = status[1]
@@ -547,7 +549,8 @@ def counterfactual_explain(subject, a, threshold, box: Box, metric: str = "linf"
             obj = [Fraction(0)] * (n_vars + 1)
             obj[j] = Fraction(1)
             status = minimize(tuple(obj), cons, n_vars)
-            assert status[0] == "optimal", "lexicographic refinement must be solvable"
+            if status[0] != "optimal":
+                raise RuntimeError("lexicographic refinement must be solvable")
             vj = status[1]
             point.append(vj)
             pin = [Fraction(0)] * (n_vars + 1)
@@ -565,9 +568,8 @@ def counterfactual_explain(subject, a, threshold, box: Box, metric: str = "linf"
     if pwl_eval(f, witness) <= threshold:
         sample_x = witness_cell.sample[:m]
         midpoint = tuple((w + s) / 2 for w, s in zip(witness, sample_x))
-        assert pwl_eval(f, midpoint) > threshold, (
-            "selected cell must exceed the threshold near the witness"
-        )
+        if pwl_eval(f, midpoint) <= threshold:
+            raise RuntimeError("selected cell must exceed the threshold near the witness")
     return witness, best
 
 
@@ -603,12 +605,7 @@ def feature_contribution(subject, a, i: int, eps):
     knots = _breakpoints_1d(g)
 
     def piece_component(sample):
-        pos = "".join(
-            "+" if affine_eval(h, (sample,)) > 0
-            else "-" if affine_eval(h, (sample,)) < 0
-            else "="
-            for h in g.breakplanes
-        )
+        pos = sign_position(g.breakplanes, (sample,))
         comp = g.component(pos)
         if comp is None:
             raise ValueError(

@@ -88,12 +88,6 @@ def ldiv(a: LiftedValue, b: LiftedValue) -> LiftedValue:
     return a / b
 
 
-def lneg(a: LiftedValue) -> LiftedValue:
-    if a is BOT:
-        return BOT
-    return -a
-
-
 def lifted_arith(op: str, a: LiftedValue, b: LiftedValue) -> LiftedValue:
     """Apply a lifted arithmetic operation.
 

@@ -285,15 +285,6 @@ def t_mul(*terms):
     return acc.to_term()
 
 
-def t_div(a, b):
-    return _to_rf(a).div(_to_rf(b)).to_term()
-
-
-def t_scale(q, term):
-    """Multiply a weight term by a rational literal."""
-    return _RF.const(Fraction(q)).mul(_to_rf(term)).to_term()
-
-
 def t_relu(term) -> TIf:
     """The conditional idiom `if 0 < t then t else 0`."""
     return TIf(FCompare("lt", t_const(0), term), term, t_const(0))

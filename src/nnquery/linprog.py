@@ -242,7 +242,8 @@ def minimize(objective, constraints, d: int):
     # (minimize sum artificials == maximize -(sum); tableau uses reduced costs
     #  with Bland-compatible most-negative-free selection)
     status = run_simplex(T, basis, n)  # artificials may not re-enter
-    assert status == "optimal"  # phase-1 objective is bounded below by 0
+    if status != "optimal":
+        raise RuntimeError("phase 1 must end optimal: its objective is bounded below by 0")
     phase1_value = -T[0][-1]
     if phase1_value != 0:
         return ("infeasible",)

@@ -39,6 +39,7 @@ __all__ = [
     "relu_stage",
     "pwl_from_network",
     "pwl_eval",
+    "sign_position",
     "pwl_restrict",
     "pwl_proper_check",
     "pwl_to_json",
@@ -67,8 +68,13 @@ class PwlFunction:
         return None
 
 
-def _char(v) -> str:
-    return "+" if v > 0 else "-" if v < 0 else "="
+def sign_position(planes, x) -> str:
+    """The position of point x over the planes: one '+-=' sign each."""
+    pos = ""
+    for h in planes:
+        v = affine_eval(h, x)
+        pos += "+" if v > 0 else "-" if v < 0 else "="
+    return pos
 
 
 def _zero_component(m: int) -> tuple:
@@ -84,12 +90,13 @@ def _realizable_positions(planes, m: int):
     per position, in deterministic cell order.
     """
     arr = make_arrangement(m, planes)
-    assert arr.hyperplanes == tuple(planes)  # inputs are canonical + deduped
+    if arr.hyperplanes != tuple(planes):
+        raise RuntimeError("breakplanes must arrive canonical and deduplicated")
     cd = build_cd(arr)
     out = []
     seen = set()
     for cell in cd.levels[m]:
-        pos = "".join(_char(affine_eval(h, cell.sample)) for h in planes)
+        pos = sign_position(planes, cell.sample)
         if pos not in seen:
             seen.add(pos)
             out.append((pos, cell.sample))
@@ -251,7 +258,7 @@ def pwl_eval(f: PwlFunction, x):
     x = tuple(rational(v) for v in x)
     if len(x) != f.m:
         raise ValueError(f"expected {f.m} coordinates, got {len(x)}")
-    pos = "".join(_char(affine_eval(h, x)) for h in f.breakplanes)
+    pos = sign_position(f.breakplanes, x)
     comp = f.component(pos)
     if comp is None:
         raise ValueError(f"function is not proper: no polytope at position {pos!r}")
@@ -302,7 +309,7 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
             lifted[i - 1] = v
         for i, v in zip(remaining, sample):
             lifted[i - 1] = v
-        orig_pos = "".join(_char(affine_eval(h, lifted)) for h in f.breakplanes)
+        orig_pos = sign_position(f.breakplanes, lifted)
         comp = lookup.get(orig_pos)
         if comp is None:
             raise ValueError(

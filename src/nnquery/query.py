@@ -32,7 +32,7 @@ from .core import rational
 from .geometry import Arrangement, build_cd, canonicalize, make_arrangement
 from .linprog import affine_eval
 from .network import Network
-from .pwl import PwlFunction, pwl_from_network
+from .pwl import PwlFunction, pwl_from_network, sign_position
 
 __all__ = [
     "QueryError",
@@ -84,12 +84,6 @@ class XMul:
 
 
 @dataclass(frozen=True)
-class XDiv:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
 class XAbs:
     a: object
 
@@ -125,11 +119,6 @@ class PCmp:
 class PFAtom:
     args: tuple  # variable names
     result: str
-
-
-@dataclass(frozen=True)
-class PBool:
-    value: bool
 
 
 @dataclass(frozen=True)
@@ -201,7 +190,7 @@ def _e_sub(a, b):
 
 def _e_neg(a):
     if isinstance(a, XLin):
-        return _xlin_scale(a, Fraction(-1))
+        return XLin(-a.const, tuple((n, -c) for n, c in a.coeffs))
     return XNeg(a)
 
 
@@ -466,51 +455,79 @@ class _Gensym:
         return f"__{prefix}{self.n}"
 
 
+def _expr_children(e):
+    """The direct sub-expressions of an expression node, left to right."""
+    if isinstance(e, XLin):
+        return ()
+    if isinstance(e, (XNeg, XAbs)):
+        return (e.a,)
+    if isinstance(e, (XAdd, XMul, XMin, XMax)):
+        return (e.a, e.b)
+    if isinstance(e, XF):
+        return e.args
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _rebuild_expr(e, children):
+    """The node e with its sub-expressions replaced, without folding."""
+    if isinstance(e, XLin):
+        return e
+    if isinstance(e, XF):
+        return XF(tuple(children))
+    return type(e)(*children)
+
+
 def _walk_expr(e, fn):
     """Rebuild an expression bottom-up through fn."""
-    if isinstance(e, XLin):
-        return fn(e)
-    if isinstance(e, (XAdd, XMul, XDiv, XMin, XMax)):
-        return fn(type(e)(_walk_expr(e.a, fn), _walk_expr(e.b, fn)))
-    if isinstance(e, (XNeg, XAbs)):
-        return fn(type(e)(_walk_expr(e.a, fn)))
-    if isinstance(e, XF):
-        return fn(XF(tuple(_walk_expr(a, fn) for a in e.args)))
-    raise TypeError(f"not an expression: {e!r}")
+    children = _expr_children(e)
+    if children:
+        e = _rebuild_expr(e, [_walk_expr(c, fn) for c in children])
+    return fn(e)
+
+
+def _sub_formulas(node):
+    """The direct sub-formulas of a formula node; atoms have none."""
+    if isinstance(node, (PNot, PExists, PForall)):
+        return (node.body,)
+    if isinstance(node, (PAnd, POr, PImplies)):
+        return (node.a, node.b)
+    return ()
+
+
+def _map_formula(node, fn, *args):
+    """The node with fn(sub, *args) applied to each direct sub-formula,
+    left to right."""
+    if isinstance(node, PNot):
+        return PNot(fn(node.body, *args))
+    if isinstance(node, (PAnd, POr, PImplies)):
+        return type(node)(fn(node.a, *args), fn(node.b, *args))
+    if isinstance(node, (PExists, PForall)):
+        return type(node)(node.var, fn(node.body, *args))
+    return node
 
 
 def _rename_and_substitute(node, env, params, free_order, gensym):
     """α-rename bound variables apart, substitute parameters, and record
     free variables in first-appearance order."""
 
-    def on_expr(e):
-        def leaf(x):
-            if not isinstance(x, XLin):
-                return x
-            const = x.const
-            coeffs = {}
-            for name, c in x.coeffs:
-                if name in env:
-                    coeffs[env[name]] = coeffs.get(env[name], Fraction(0)) + c
-                elif name in params:
-                    const += c * params[name]
-                else:
-                    if name not in free_order:
-                        free_order.append(name)
-                    coeffs[name] = coeffs.get(name, Fraction(0)) + c
-            return XLin(const, tuple(sorted(coeffs.items())))
-
-        return _walk_expr(e, leaf)
+    def leaf(x):
+        if not isinstance(x, XLin):
+            return x
+        const = x.const
+        coeffs = {}
+        for name, c in x.coeffs:
+            if name in env:
+                coeffs[env[name]] = coeffs.get(env[name], Fraction(0)) + c
+            elif name in params:
+                const += c * params[name]
+            else:
+                if name not in free_order:
+                    free_order.append(name)
+                coeffs[name] = coeffs.get(name, Fraction(0)) + c
+        return XLin(const, tuple(sorted(coeffs.items())))
 
     if isinstance(node, PCmp):
-        return PCmp(node.rel, on_expr(node.lhs), on_expr(node.rhs))
-    if isinstance(node, PNot):
-        return PNot(_rename_and_substitute(node.body, env, params, free_order, gensym))
-    if isinstance(node, (PAnd, POr, PImplies)):
-        return type(node)(
-            _rename_and_substitute(node.a, env, params, free_order, gensym),
-            _rename_and_substitute(node.b, env, params, free_order, gensym),
-        )
+        return PCmp(node.rel, _walk_expr(node.lhs, leaf), _walk_expr(node.rhs, leaf))
     if isinstance(node, (PExists, PForall)):
         if node.var in params:
             raise QueryError(f"quantified variable {node.var!r} shadows a parameter")
@@ -520,38 +537,25 @@ def _rename_and_substitute(node, env, params, free_order, gensym):
         return type(node)(
             fresh, _rename_and_substitute(node.body, inner, params, free_order, gensym)
         )
-    raise TypeError(f"not a formula: {node!r}")
+    if not _sub_formulas(node):
+        raise TypeError(f"not a formula: {node!r}")
+    return _map_formula(node, _rename_and_substitute, env, params, free_order, gensym)
 
 
 def _find_sugar(e):
     """Innermost sugar node (abs/min/max) whose operands are sugar-free."""
-    if isinstance(e, XLin):
-        return None
-    children = (
-        e.args if isinstance(e, XF) else (e.a,) if isinstance(e, (XNeg, XAbs)) else (e.a, e.b)
-    )
-    for c in children:
+    for c in _expr_children(e):
         found = _find_sugar(c)
         if found is not None:
             return found
-    if isinstance(e, (XAbs, XMin, XMax)):
-        return e
-    return None
+    return e if isinstance(e, (XAbs, XMin, XMax)) else None
 
 
 def _replace_expr(e, target, repl):
     """Replace one node (by identity) inside an expression."""
     if e is target:
         return repl
-    if isinstance(e, XLin):
-        return e
-    if isinstance(e, (XNeg, XAbs)):
-        return type(e)(_replace_expr(e.a, target, repl))
-    if isinstance(e, XF):
-        return XF(tuple(_replace_expr(a, target, repl) for a in e.args))
-    return type(e)(
-        _replace_expr(e.a, target, repl), _replace_expr(e.b, target, repl)
-    )
+    return _rebuild_expr(e, [_replace_expr(c, target, repl) for c in _expr_children(e)])
 
 
 def _desugar_atom(atom: PCmp):
@@ -590,13 +594,7 @@ def _desugar(node):
     if isinstance(node, PCmp):
         step = _desugar_atom(node)
         return node if step is None else _desugar(step)
-    if isinstance(node, PNot):
-        return PNot(_desugar(node.body))
-    if isinstance(node, (PAnd, POr, PImplies)):
-        return type(node)(_desugar(node.a), _desugar(node.b))
-    if isinstance(node, (PExists, PForall)):
-        return type(node)(node.var, _desugar(node.body))
-    return node
+    return _map_formula(node, _desugar)
 
 
 def _is_plain_var(e):
@@ -621,27 +619,14 @@ def _convert_candidates(node):
                         if len(set(names)) == len(names) and result not in names:
                             return PFAtom(tuple(names), result)
         return node
-    if isinstance(node, PNot):
-        return PNot(_convert_candidates(node.body))
-    if isinstance(node, (PAnd, POr, PImplies)):
-        return type(node)(_convert_candidates(node.a), _convert_candidates(node.b))
-    if isinstance(node, (PExists, PForall)):
-        return type(node)(node.var, _convert_candidates(node.body))
-    return node
+    return _map_formula(node, _convert_candidates)
 
 
 def _expr_vars(e, out: set):
     if isinstance(e, XLin):
-        for name, _c in e.coeffs:
-            out.add(name)
-    elif isinstance(e, (XNeg, XAbs)):
-        _expr_vars(e.a, out)
-    elif isinstance(e, XF):
-        for a in e.args:
-            _expr_vars(a, out)
-    else:
-        _expr_vars(e.a, out)
-        _expr_vars(e.b, out)
+        out.update(name for name, _c in e.coeffs)
+    for c in _expr_children(e):
+        _expr_vars(c, out)
     return out
 
 
@@ -653,73 +638,42 @@ def _extractable_occurrence(node, trigger):
     def from_expr(e, forced):
         if isinstance(e, XLin):
             return None
-        if isinstance(e, XF):
-            hit = forced or trigger is None or bool(_expr_vars(e, set()) & trigger)
-            for a in e.args:
-                found = from_expr(a, hit)
-                if found is not None:
-                    return found
-            if hit and not any(_has_f(a) for a in e.args):
-                return e
-            return None
-        if isinstance(e, (XNeg, XAbs)):
-            return from_expr(e.a, forced)
-        for child in (e.a, e.b):
-            found = from_expr(child, forced)
+        hit = isinstance(e, XF) and (
+            forced or trigger is None or bool(_expr_vars(e, set()) & trigger)
+        )
+        for c in _expr_children(e):
+            found = from_expr(c, hit or forced)
             if found is not None:
                 return found
+        if hit and not any(_has_f(a) for a in e.args):
+            return e
         return None
 
     if isinstance(node, PCmp):
         found = from_expr(node.lhs, False)
+        return found if found is not None else from_expr(node.rhs, False)
+    for sub in _sub_formulas(node):
+        found = _extractable_occurrence(sub, trigger)
         if found is not None:
             return found
-        return from_expr(node.rhs, False)
-    if isinstance(node, PNot):
-        return _extractable_occurrence(node.body, trigger)
-    if isinstance(node, (PAnd, POr)):
-        found = _extractable_occurrence(node.a, trigger)
-        if found is not None:
-            return found
-        return _extractable_occurrence(node.b, trigger)
-    if isinstance(node, (PExists, PForall)):
-        return _extractable_occurrence(node.body, trigger)
     return None
 
 
 def _has_f(e):
-    if isinstance(e, XLin):
-        return False
-    if isinstance(e, XF):
-        return True
-    if isinstance(e, (XNeg, XAbs)):
-        return _has_f(e.a)
-    return _has_f(e.a) or _has_f(e.b)
+    return isinstance(e, XF) or any(_has_f(c) for c in _expr_children(e))
 
 
 def _subst_occurrence(node, occ: XF, var_name: str):
     """Replace every occurrence structurally equal to occ by the variable."""
 
-    def on_expr(e):
-        def fn(x):
-            if isinstance(x, XF) and x == occ:
-                return xlin_var(var_name)
-            return x
-
-        return _walk_expr(e, fn)
+    def fn(x):
+        if isinstance(x, XF) and x == occ:
+            return xlin_var(var_name)
+        return x
 
     if isinstance(node, PCmp):
-        return PCmp(node.rel, on_expr(node.lhs), on_expr(node.rhs))
-    if isinstance(node, PNot):
-        return PNot(_subst_occurrence(node.body, occ, var_name))
-    if isinstance(node, (PAnd, POr)):
-        return type(node)(
-            _subst_occurrence(node.a, occ, var_name),
-            _subst_occurrence(node.b, occ, var_name),
-        )
-    if isinstance(node, (PExists, PForall)):
-        return type(node)(node.var, _subst_occurrence(node.body, occ, var_name))
-    return node
+        return PCmp(node.rel, _walk_expr(node.lhs, fn), _walk_expr(node.rhs, fn))
+    return _map_formula(node, _subst_occurrence, occ, var_name)
 
 
 def _pull_occurrences(node, trigger, gensym):
@@ -775,25 +729,13 @@ def _extract_f_atoms(node, gensym):
     if isinstance(node, (PExists, PForall)):
         body = _extract_f_atoms(node.body, gensym)
         return type(node)(node.var, _pull_occurrences(body, {node.var}, gensym))
-    if isinstance(node, PNot):
-        return PNot(_extract_f_atoms(node.body, gensym))
-    if isinstance(node, (PAnd, POr, PImplies)):
-        return type(node)(
-            _extract_f_atoms(node.a, gensym), _extract_f_atoms(node.b, gensym)
-        )
-    return node
+    return _map_formula(node, _extract_f_atoms, gensym)
 
 
 def _strip_implies(node):
     if isinstance(node, PImplies):
         return POr(PNot(_strip_implies(node.a)), _strip_implies(node.b))
-    if isinstance(node, PNot):
-        return PNot(_strip_implies(node.body))
-    if isinstance(node, (PAnd, POr)):
-        return type(node)(_strip_implies(node.a), _strip_implies(node.b))
-    if isinstance(node, (PExists, PForall)):
-        return type(node)(node.var, _strip_implies(node.body))
-    return node
+    return _map_formula(node, _strip_implies)
 
 
 def _prenex(node):
@@ -820,24 +762,15 @@ def _prenex(node):
 def _matrix_fatoms(node, out):
     if isinstance(node, PFAtom):
         out.append(node)
-    elif isinstance(node, PNot):
-        _matrix_fatoms(node.body, out)
-    elif isinstance(node, (PAnd, POr)):
-        _matrix_fatoms(node.a, out)
-        _matrix_fatoms(node.b, out)
+    for sub in _sub_formulas(node):
+        _matrix_fatoms(sub, out)
     return out
 
 
 def _replace_atoms(node, mapping):
     if id(node) in mapping:
         return mapping[id(node)]
-    if isinstance(node, PNot):
-        return PNot(_replace_atoms(node.body, mapping))
-    if isinstance(node, (PAnd, POr)):
-        return type(node)(
-            _replace_atoms(node.a, mapping), _replace_atoms(node.b, mapping)
-        )
-    return node
+    return _map_formula(node, _replace_atoms, mapping)
 
 
 # Ordered matrix nodes.
@@ -886,68 +819,48 @@ class OrderedPrenexQuery:
     f_arity: int | None
 
 
-def _flatten(e):
-    """Expression → (constant, {name: coeff}); rejects non-linearity."""
-    if isinstance(e, XLin):
-        return e.const, dict(e.coeffs)
-    if isinstance(e, XAdd):
-        ca, da = _flatten(e.a)
-        cb, db = _flatten(e.b)
-        for n, c in db.items():
-            da[n] = da.get(n, Fraction(0)) + c
-        return ca + cb, da
-    if isinstance(e, XNeg):
-        c, d = _flatten(e.a)
-        return -c, {n: -v for n, v in d.items()}
-    if isinstance(e, XMul):
-        ca, da = _flatten(e.a)
-        cb, db = _flatten(e.b)
-        if da and db:
-            raise QueryError("non-linear arithmetic: variable times variable")
-        if not da:
-            return ca * cb, {n: ca * v for n, v in db.items()}
-        return ca * cb, {n: cb * v for n, v in da.items()}
-    if isinstance(e, XDiv):
-        cb, db = _flatten(e.b)
-        if db:
-            raise QueryError("non-linear arithmetic: division by a variable expression")
-        if cb == 0:
-            raise QueryError("division by zero in query")
-        ca, da = _flatten(e.a)
-        return ca / cb, {n: v / cb for n, v in da.items()}
-    raise AssertionError(f"unexpected node after normalization: {e!r}")
+def _fold_linear(x):
+    if isinstance(x, XAdd):
+        return _e_add(x.a, x.b)
+    if isinstance(x, XNeg):
+        return _e_neg(x.a)
+    if isinstance(x, XMul):
+        return _e_mul(x.a, x.b)
+    return x
+
+
+def _linear(e) -> XLin:
+    """Fold a normalized expression into one XLin; rejects non-linearity."""
+    out = _walk_expr(e, _fold_linear)
+    if not isinstance(out, XLin):
+        raise RuntimeError(f"unexpected node after normalization: {out!r}")
+    return out
+
+
+def _strict_atom(lhs: XLin, rhs: XLin, pos):
+    """lhs − rhs > 0 as a matrix atom over x_1..x_d, or a constant."""
+    vec = [lhs.const - rhs.const] + [Fraction(0)] * len(pos)
+    for name, c in lhs.coeffs:
+        vec[pos[name]] = c
+    for name, c in rhs.coeffs:
+        vec[pos[name]] -= c
+    if all(a == 0 for a in vec[1:]):
+        return MBool(vec[0] > 0)
+    return MAtom(tuple(vec))
 
 
 def _lower_matrix(node, pos):
-    d = len(pos)
-
-    def vector(const, coeffs):
-        vec = [const] + [Fraction(0)] * d
-        for name, c in coeffs.items():
-            vec[pos[name]] = c
-        return tuple(vec)
-
-    def strict(vec):
-        if all(a == 0 for a in vec[1:]):
-            return MBool(vec[0] > 0)
-        return MAtom(vec)
-
     if isinstance(node, PCmp):
-        cl, dl = _flatten(node.lhs)
-        cr, dr = _flatten(node.rhs)
-        for n, c in dr.items():
-            dl[n] = dl.get(n, Fraction(0)) - c
-        diff = vector(cl - cr, dl)  # lhs − rhs
-        neg = tuple(-a for a in diff)
+        lhs, rhs = _linear(node.lhs), _linear(node.rhs)
         if node.rel == ">":
-            return strict(diff)
+            return _strict_atom(lhs, rhs, pos)
         if node.rel == "<":
-            return strict(neg)
+            return _strict_atom(rhs, lhs, pos)
         if node.rel == ">=":
-            return MNot(strict(neg))
+            return MNot(_strict_atom(rhs, lhs, pos))
         if node.rel == "<=":
-            return MNot(strict(diff))
-        return MAnd((MNot(strict(diff)), MNot(strict(neg))))
+            return MNot(_strict_atom(lhs, rhs, pos))
+        return MAnd((MNot(_strict_atom(lhs, rhs, pos)), MNot(_strict_atom(rhs, lhs, pos))))
     if isinstance(node, PFAtom):
         return MFAtom(tuple(pos[a] for a in node.args), pos[node.result])
     if isinstance(node, PNot):
@@ -956,7 +869,7 @@ def _lower_matrix(node, pos):
         return MAnd((_lower_matrix(node.a, pos), _lower_matrix(node.b, pos)))
     if isinstance(node, POr):
         return MOr((_lower_matrix(node.a, pos), _lower_matrix(node.b, pos)))
-    raise AssertionError(f"unexpected node in matrix: {node!r}")
+    raise RuntimeError(f"unexpected node in matrix: {node!r}")
 
 
 def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPrenexQuery:
@@ -1092,10 +1005,7 @@ def _cell_satisfies(f, matrix, sample) -> bool:
         return affine_eval(matrix.coeffs, sample) > 0
     if isinstance(matrix, MFAtom):
         proj = tuple(sample[g - 1] for g in matrix.args)
-        pos = ""
-        for h in f.breakplanes:
-            v = affine_eval(h, proj)
-            pos += "+" if v > 0 else "-" if v < 0 else "="
+        pos = sign_position(f.breakplanes, proj)
         comp = f.component(pos)
         if comp is None:
             raise ValueError(f"function is not proper: no polytope at position {pos!r}")
@@ -1106,7 +1016,7 @@ def _cell_satisfies(f, matrix, sample) -> bool:
         return all(_cell_satisfies(f, item, sample) for item in matrix.items)
     if isinstance(matrix, MOr):
         return any(_cell_satisfies(f, item, sample) for item in matrix.items)
-    raise AssertionError(f"unexpected matrix node: {matrix!r}")
+    raise RuntimeError(f"unexpected matrix node: {matrix!r}")
 
 
 def select_cells_qfree(cd, f, matrix) -> CellSet:
@@ -1155,18 +1065,6 @@ class QueryResult:
     cells: tuple = ()  # ((cell id, {var name: Fraction}), …)
 
 
-def _const_truth(matrix) -> bool:
-    if isinstance(matrix, MBool):
-        return matrix.value
-    if isinstance(matrix, MNot):
-        return not _const_truth(matrix.body)
-    if isinstance(matrix, MAnd):
-        return all(_const_truth(i) for i in matrix.items)
-    if isinstance(matrix, MOr):
-        return any(_const_truth(i) for i in matrix.items)
-    raise AssertionError("variable-free query still contains atoms")
-
-
 def evaluate_query(subject, query, parameters=None, free_order=None) -> QueryResult:
     """Evaluate a query against a network or a PWL function.
 
@@ -1187,7 +1085,7 @@ def evaluate_query(subject, query, parameters=None, free_order=None) -> QueryRes
     d = len(q.var_names)
     k = len(q.free_vars)
     if d == 0:
-        return QueryResult(truth=_const_truth(q.matrix))
+        return QueryResult(truth=_cell_satisfies(None, q.matrix, ()))
 
     has_f = any(isinstance(n, MFAtom) for n in _matrix_nodes(q.matrix))
     f = None
@@ -1202,7 +1100,8 @@ def evaluate_query(subject, query, parameters=None, free_order=None) -> QueryRes
             s = project_exists(cd, s)
         else:
             s = complement(cd, project_exists(cd, complement(cd, s)))
-    assert s.level == k
+    if s.level != k:
+        raise RuntimeError("quantifier elimination must end at the free level")
     if k == 0:
         return QueryResult(truth=(() in s.ids))
     cells = tuple(

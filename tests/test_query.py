@@ -154,9 +154,21 @@ class TestNormalize:
         with pytest.raises(QueryError, match="not declared"):
             normalize_ordered_prenex(parse_query("x + y > 0", 1), free_order=["x"])
 
-    def test_nonlinear_product_rejected(self):
+    def test_nonlinear_product_rejected(self, relu_net):
         with pytest.raises(QueryError, match="non-linear"):
             parse_query("x * y > 0", 1)
+        # products that turn non-linear only once abs or F is rewritten away
+        for text in ("abs(x) * y > 0", "exists x . F(x) * x > 0"):
+            ast = parse_query(text, 1)
+            with pytest.raises(QueryError, match="non-linear"):
+                normalize_ordered_prenex(ast)
+        # a constant factor on sugar stays linear: |x − 1| < 3/2
+        result = evaluate_query(relu_net, "2 * abs(x - 1) < 3")
+        assert result.cells
+        assert all(Fraction(-1, 2) < v["x"] < Fraction(5, 2) for _cid, v in result.cells)
+        assert evaluate_query(
+            relu_net, "forall x . (x > -0.5 and x < 2.5) -> 2 * abs(x - 1) < 3"
+        ).truth is True
 
     def test_nonlinear_division_rejected(self):
         with pytest.raises(QueryError, match="non-linear"):
