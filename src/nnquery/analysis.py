@@ -3,8 +3,12 @@
 Everything here reduces to the exact geometric pipeline.  Integration lifts
 the function's graph into one extra dimension, decomposes the region between
 the graph and zero cylindrically, triangulates the full-dimensional cells and
-sums signed simplex volumes.  Shapley values are factorial-weighted
-differences of box expectations computed from restrictions and integrals.
+sums signed simplex volumes.  A cell is triangulated as the staircase over
+its base cell's triangulation: the region between the cell's affine lower
+and upper mappings over each base simplex splits into one simplex per base
+corner where the two mappings differ, with no search and no degenerate
+candidate.  Shapley values are factorial-weighted differences of box
+expectations computed from restrictions and integrals.
 Robustness is a closed first-order sentence handed to the query engine, and
 counterfactuals minimize a linearizable distance over selected-cell closures
 with an exact simplex method.  All arithmetic is rational; no value in this
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import rational
-from .geometry import build_cd, cell_corners, make_arrangement
+from .geometry import build_cd, make_arrangement, mapping_value
 from .linprog import affine_eval, minimize
 from .network import Network
 from .pwl import (
@@ -27,7 +31,6 @@ from .pwl import (
     pwl_eval,
     pwl_from_network,
     pwl_restrict,
-    sign_position,
 )
 from .query import (
     build_query_arrangement,
@@ -93,7 +96,7 @@ class Box:
 @dataclass(frozen=True)
 class Simplex:
     """n+1 corner points in R^n.  Corners may be degenerate (zero volume);
-    the triangulation routine filters such simplices before emitting."""
+    ``triangulate_cell`` never emits such simplices."""
 
     corners: tuple
 
@@ -160,53 +163,38 @@ def simplex_volume(s: Simplex) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _staircase(cd, cell):
+    """Corner tuples of the cell's triangulation; one 0-simplex at level 0."""
+    if cell.level == 0:
+        return [((),)]
+    if cell.lower is None or cell.upper is None:
+        raise ValueError("unbounded cell has no triangulation")
+    out = []
+    for base in _staircase(cd, cd.index[cell.base]):
+        lo = [v + (mapping_value(cell.lower, v),) for v in base]
+        hi = [v + (mapping_value(cell.upper, v),) for v in base]
+        for i in range(len(base)):
+            if hi[i][-1] > lo[i][-1]:
+                out.append((*lo[: i + 1], *hi[i:]))
+    return out
+
+
 def triangulate_cell(cd, cell):
     """Triangulate a bounded cell into simplices with disjoint interiors.
 
-    Corners are named by identifier strings over {'L','U'} (one character per
-    level; distinct strings may name coinciding points).  Each candidate
-    simplex comes from a sequence of n−1 distinct levels: its corners are the
-    two completions of the fully-marked string plus the chain of its prefixes
-    down to the all-'L' corner.  A candidate survives only if the final pair
-    names distinct points and no chain apex coincides with a corner of the
-    face it is joined to; degenerate simplices are filtered before emission.
-    Raises ValueError for unbounded cells.
+    The staircase over the base cell's triangulation: for each base simplex
+    with corners v_0..v_{k-1}, the cell's lower and upper mappings L and U
+    are affine over the whole base (delineability), and the region between
+    them is tiled by conv(L(v_0..v_i), U(v_i..v_{k-1})) for i = 0..k-1.
+    Shearing by L keeps volume, so the i-th piece has volume
+    vol(base simplex)·(U − L)(v_i)/k and is degenerate exactly when
+    U(v_i) = L(v_i); only the pieces with U(v_i) > L(v_i) are emitted.
+    Sections and cells over a section therefore yield no simplex.  Raises
+    ValueError for unbounded cells.
     """
-    corner = {s: p for s, p in cell_corners(cd, cell)}
-    n = cell.level
-    if n == 0:
+    if cell.level == 0:
         return []
-
-    def string(uset):
-        return "".join("U" if j in uset else "L" for j in range(1, n + 1))
-
-    out = []
-    for seq in itertools.permutations(range(1, n + 1), n - 1):
-        chosen = set(seq)
-        free = next(j for j in range(1, n + 1) if j not in chosen)
-        last_lo = corner[string(chosen)]
-        last_hi = corner[string(chosen | {free})]
-        if last_lo == last_hi:
-            continue
-        valid = True
-        for k in range(1, n):
-            apex = corner[string(set(seq[: k - 1]))]
-            rest = [j for j in range(1, n + 1) if j not in seq[:k]]
-            face = set(seq[:k])
-            for bits in itertools.product((False, True), repeat=len(rest)):
-                uset = face | {j for j, b in zip(rest, bits) if b}
-                if corner[string(uset)] == apex:
-                    valid = False
-                    break
-            if not valid:
-                break
-        if not valid:
-            continue
-        chain = [corner[string(set(seq[:t]))] for t in range(n - 2, -1, -1)]
-        s = Simplex(corners=(last_lo, last_hi, *chain))
-        if simplex_volume(s) > 0:
-            out.append(s)
-    return out
+    return [Simplex(corners=c) for c in _staircase(cd, cell)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +282,7 @@ def _integrate_cells(f: PwlFunction, box: Box) -> Fraction:
             continue
         x = cell.sample[:m]
         z = cell.sample[m]
-        pos = sign_position(f.breakplanes, x)
-        comp = f.component(pos)
-        if comp is None:
-            raise ValueError(
-                f"function is not proper: no polytope at position {pos!r}"
-            )
-        graph_gap = affine_eval(comp, x) - z
+        graph_gap = affine_eval(f.component_at(x), x) - z
         if graph_gap > 0 and z > 0:
             sign = 1
         elif graph_gap < 0 and z < 0:
@@ -604,15 +586,6 @@ def feature_contribution(subject, a, i: int, eps):
     center = pwl_eval(g, (t0,))
     knots = _breakpoints_1d(g)
 
-    def piece_component(sample):
-        pos = sign_position(g.breakplanes, (sample,))
-        comp = g.component(pos)
-        if comp is None:
-            raise ValueError(
-                f"function is not proper: no polytope at position {pos!r}"
-            )
-        return comp
-
     candidates = []
 
     # Threshold crossings strictly inside a piece: beyond the crossing the
@@ -632,7 +605,7 @@ def feature_contribution(subject, a, i: int, eps):
             sample = lo + 1
         else:
             sample = (lo + hi) / 2
-        beta, alpha = piece_component(sample)
+        beta, alpha = g.component_at((sample,))
         if alpha == 0:
             continue
         for target in (center + eps, center - eps):

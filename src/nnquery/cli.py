@@ -167,18 +167,18 @@ def _parse_params(pairs) -> dict:
     return out
 
 
-def _render(value):
-    """Recursive JSON-safe rendering with exact 'p/q' rationals."""
+def _render(value, leaf):
+    """Recursive JSON-safe rendering; ``leaf`` formats each rational."""
     if value is BOT:
         return "bot"
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return leaf(value)
     if isinstance(value, dict):
-        return {str(k): _render(v) for k, v in value.items()}
+        return {str(k): _render(v, leaf) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
+        return [_render(v, leaf) for v in value]
     return value
 
 
@@ -191,27 +191,13 @@ def _decimal_str(q: Fraction, places: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 
 
-def _approximate(value, places: int):
-    if value is BOT:
-        return "bot"
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return _decimal_str(value, places)
-    if isinstance(value, dict):
-        return {str(k): _approximate(v, places) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_approximate(v, places) for v in value]
-    return value
-
-
 def _emit(command: str, result, started: float, decimal, out):
-    payload = {"command": command, "result": _render(result)}
+    payload = {"command": command, "result": _render(result, format_rational)}
     if decimal is not None:
         payload["approx"] = {
             "note": "rounded decimals, approximate",
             "decimal_places": decimal,
-            "result": _approximate(result, decimal),
+            "result": _render(result, lambda q: _decimal_str(q, decimal)),
         }
     payload["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
     text = json.dumps(payload, indent=2)

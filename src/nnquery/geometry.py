@@ -264,26 +264,6 @@ def cell_side(cd: CellDecomposition, cell: Cell, coeffs) -> str:
     return "+" if v > 0 else "-" if v < 0 else "0"
 
 
-def cell_corners(cd: CellDecomposition, cell: Cell):
-    """Corner points of a bounded cell, keyed by identifier strings.
-
-    Each corner is named by a string over {'L','U'} — position j says
-    whether the level-j ancestor's lower or upper delineating plane was
-    followed.  Distinct strings may name coinciding points; duplicates are
-    retained.  Raises ValueError for unbounded cells.
-    """
-    if cell.level == 0:
-        return [("", ())]
-    base = cd.index[cell.base]
-    out = []
-    for s, p in cell_corners(cd, base):
-        for ch, plane in (("L", cell.lower), ("U", cell.upper)):
-            if plane is None:
-                raise ValueError("unbounded cell has no corners")
-            out.append((s + ch, p + (mapping_value(plane, p),)))
-    return out
-
-
 def cell_contains(cd: CellDecomposition, cell: Cell, point) -> bool:
     """Exact membership of a point (length == cell.level) in the cell."""
     if cell.level == 0:

@@ -387,22 +387,23 @@ def useless_neurons(net: Network, vals, eps) -> set:
             direct.add(z)
 
     s = to_structure(net, vals)
-    logical = set()
-    for z in hidden_ids:
-        ok = True
-        for j in range(1, len(net.outputs) + 1):
-            t_full = build_eval_term(net.inputs, net.depth, j)
-            t_ablate = build_eval_term(net.inputs, net.depth, j, exclude_var="z")
-            diff = t_add(t_full, t_neg(t_ablate))
-            f = FAnd(
+    # One comparison per output; only the binding of z varies per neuron.
+    checks = []
+    for j in range(1, len(net.outputs) + 1):
+        t_full = build_eval_term(net.inputs, net.depth, j)
+        t_ablate = build_eval_term(net.inputs, net.depth, j, exclude_var="z")
+        diff = t_add(t_full, t_neg(t_ablate))
+        checks.append(
+            FAnd(
                 FCompare("lt", t_neg(t_const(eps)), diff),
                 FCompare("lt", diff, t_const(eps)),
             )
-            if not eval_formula(s, f, {"z": str(z)}):
-                ok = False
-                break
-        if ok:
-            logical.add(z)
+        )
+    logical = {
+        z
+        for z in hidden_ids
+        if all(eval_formula(s, f, {"z": str(z)}) for f in checks)
+    }
 
     if direct != logical:
         raise RuntimeError(

@@ -61,11 +61,13 @@ class PwlFunction:
     breakplanes: tuple
     polytopes: tuple
 
-    def component(self, position: str):
-        for pos, comp in self.polytopes:
-            if pos == position:
+    def component_at(self, x):
+        """The affine component of the polytope holding the point x."""
+        pos = sign_position(self.breakplanes, x)
+        for p, comp in self.polytopes:
+            if p == pos:
                 return comp
-        return None
+        raise ValueError(f"function is not proper: no polytope at position {pos!r}")
 
 
 def sign_position(planes, x) -> str:
@@ -258,11 +260,7 @@ def pwl_eval(f: PwlFunction, x):
     x = tuple(rational(v) for v in x)
     if len(x) != f.m:
         raise ValueError(f"expected {f.m} coordinates, got {len(x)}")
-    pos = sign_position(f.breakplanes, x)
-    comp = f.component(pos)
-    if comp is None:
-        raise ValueError(f"function is not proper: no polytope at position {pos!r}")
-    return affine_eval(comp, x)
+    return affine_eval(f.component_at(x), x)
 
 
 def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
@@ -301,7 +299,6 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
             seen.add(ch)
             planes.append(ch)
 
-    lookup = dict(f.polytopes)
     polys = []
     for pos, sample in _realizable_positions(planes, m_new):
         lifted = [None] * f.m
@@ -309,13 +306,7 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
             lifted[i - 1] = v
         for i, v in zip(remaining, sample):
             lifted[i - 1] = v
-        orig_pos = sign_position(f.breakplanes, lifted)
-        comp = lookup.get(orig_pos)
-        if comp is None:
-            raise ValueError(
-                f"function is not proper: no polytope at position {orig_pos!r}"
-            )
-        polys.append((pos, restrict_coeffs(comp)))
+        polys.append((pos, restrict_coeffs(f.component_at(lifted))))
     return PwlFunction(m=m_new, breakplanes=tuple(planes), polytopes=tuple(polys))
 
 

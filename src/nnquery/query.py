@@ -32,7 +32,7 @@ from .core import rational
 from .geometry import Arrangement, build_cd, canonicalize, make_arrangement
 from .linprog import affine_eval
 from .network import Network
-from .pwl import PwlFunction, pwl_from_network, sign_position
+from .pwl import PwlFunction, pwl_from_network
 
 __all__ = [
     "QueryError",
@@ -202,6 +202,24 @@ def _e_mul(a, b):
             return _xlin_scale(b, a.const)
         return _xlin_scale(a, b.const)
     return XMul(a, b)
+
+
+def _e_abs(a):
+    if isinstance(a, XLin) and not a.coeffs:
+        return XLin(abs(a.const), ())
+    return XAbs(a)
+
+
+def _e_min(a, b):
+    if isinstance(a, XLin) and isinstance(b, XLin) and not (a.coeffs or b.coeffs):
+        return a if a.const <= b.const else b
+    return XMin(a, b)
+
+
+def _e_max(a, b):
+    if isinstance(a, XLin) and isinstance(b, XLin) and not (a.coeffs or b.coeffs):
+        return a if a.const >= b.const else b
+    return XMax(a, b)
 
 
 def _e_div(a, b):
@@ -398,14 +416,14 @@ class _QueryParser:
                 self.expect_op("(")
                 e = self.parse_expr()
                 self.expect_op(")")
-                return XAbs(e)
+                return _e_abs(e)
             if val in ("min", "max"):
                 self.expect_op("(")
                 a = self.parse_expr()
                 self.expect_op(",")
                 b = self.parse_expr()
                 self.expect_op(")")
-                return (XMin if val == "min" else XMax)(a, b)
+                return (_e_min if val == "min" else _e_max)(a, b)
             if val in ("dist_linf", "dist_l1"):
                 self.expect_op("(")
                 left = self._parse_args()
@@ -414,7 +432,7 @@ class _QueryParser:
                 self.expect_op(")")
                 if len(left) != len(right) or not left:
                     raise QueryError(f"{val} needs two equal-length coordinate lists")
-                diffs = [XAbs(_e_sub(a, b)) for a, b in zip(left, right)]
+                diffs = [_e_abs(_e_sub(a, b)) for a, b in zip(left, right)]
                 if val == "dist_l1":
                     out = diffs[0]
                     for e in diffs[1:]:
@@ -422,7 +440,7 @@ class _QueryParser:
                     return out
                 out = diffs[0]
                 for e in diffs[1:]:
-                    out = XMax(out, e)
+                    out = _e_max(out, e)
                 return out
             if val in _KEYWORDS:
                 raise QueryError(f"keyword {val!r} cannot be used here (position {at})")
@@ -1005,11 +1023,7 @@ def _cell_satisfies(f, matrix, sample) -> bool:
         return affine_eval(matrix.coeffs, sample) > 0
     if isinstance(matrix, MFAtom):
         proj = tuple(sample[g - 1] for g in matrix.args)
-        pos = sign_position(f.breakplanes, proj)
-        comp = f.component(pos)
-        if comp is None:
-            raise ValueError(f"function is not proper: no polytope at position {pos!r}")
-        return affine_eval(comp, proj) == sample[matrix.result - 1]
+        return affine_eval(f.component_at(proj), proj) == sample[matrix.result - 1]
     if isinstance(matrix, MNot):
         return not _cell_satisfies(f, matrix.body, sample)
     if isinstance(matrix, MAnd):

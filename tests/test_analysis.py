@@ -244,6 +244,59 @@ class TestTriangulateCell:
                 mid = tuple((a + b) / 2 for a, b in zip(p, cell.sample))
                 assert cell_contains(cd, cell, mid)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_cells_tile_box_with_slanted_planes(self, d, concurrent):
+        # Box facets plus 1-4 slanted planes, all through one interior point
+        # when concurrent; the full-dimensional cells must tile the box.
+        rng = random.Random(100 * d + concurrent)
+        for _ in range(8):
+            box = Box(
+                tuple(
+                    (lo, lo + random_rational(rng, 1, 6, 2))
+                    for lo in (random_rational(rng, -4, 2, 2) for _ in range(d))
+                )
+            )
+            center = tuple(
+                lo + (hi - lo) * F(rng.randint(1, 3), 4) for lo, hi in box.intervals
+            )
+            planes = []
+            for i, (lo, hi) in enumerate(box.intervals, start=1):
+                for bound in (lo, hi):
+                    facet = [F(0)] * (d + 1)
+                    facet[0], facet[i] = -bound, F(1)
+                    planes.append(tuple(facet))
+            for _ in range(rng.randint(1, 4)):
+                normal = [F(0)] * d
+                while sum(a != 0 for a in normal) < 2:
+                    normal = [random_rational(rng, -3, 3, 2) for _ in range(d)]
+                point = center if concurrent else tuple(
+                    random_rational(rng, int(lo) - 1, int(hi) + 1, 3)
+                    for lo, hi in box.intervals
+                )
+                offset = -sum(a * v for a, v in zip(normal, point))
+                planes.append((offset, *normal))
+
+            def inside(level, sample):
+                lo, hi = box.intervals[level - 1]
+                return lo < sample[level - 1] < hi
+
+            cd = build_cd(make_arrangement(d, planes), restrict=inside)
+            total = F(0)
+            for cell in cd.cells(d):
+                simplices = triangulate_cell(cd, cell)
+                chain, full = cell, True
+                while chain.level > 0:
+                    full = full and chain.kind == "sector"
+                    chain = cd.index[chain.base]
+                if not full:
+                    assert simplices == []
+                for s in simplices:
+                    vol = simplex_volume(s)
+                    assert vol > 0
+                    total += vol
+            assert total == box.volume
+
 
 # ---------------------------------------------------------------------------
 # Exact integration

@@ -11,7 +11,6 @@ from nnquery.geometry import (
     canonicalize,
     cd_stats,
     cell_contains,
-    cell_corners,
     cell_interior_points,
     cell_side,
     compatibility_check,
@@ -185,33 +184,6 @@ class TestCellQueries:
         cd = build_cd(make_arrangement(1, [(-2, 1)]))
         with pytest.raises(ValueError):
             cell_side(cd, cd.levels[1][0], (-3, 1))
-
-    def test_corners_of_bounded_interval(self):
-        cd = build_cd(make_arrangement(1, [(-1, 1), (-3, 1)]))
-        middle = locate(cd, (2,))
-        assert cell_corners(cd, middle) == [("L", F(1)), ("U", F(3))]
-
-    def test_corners_unbounded_cell_error(self):
-        cd = build_cd(make_arrangement(1, [(-1, 1)]))
-        with pytest.raises(ValueError):
-            cell_corners(cd, cd.levels[1][0])
-
-    def test_corners_of_unit_box(self):
-        arr = make_arrangement(2, [(0, 1, 0), (-1, 1, 0), (0, 0, 1), (-1, 0, 1)])
-        cd = build_cd(arr)
-        cell = locate(cd, (Fraction(1, 2), Fraction(1, 2)))
-        corners = cell_corners(cd, cell)
-        assert [s for s, _ in corners] == ["LL", "LU", "UL", "UU"]
-        assert [p for _, p in corners] == [F(0, 0), F(0, 1), F(1, 0), F(1, 1)]
-
-    def test_corners_duplicates_retained(self):
-        # tower over the crossing point: the section cell at (0,0) has a
-        # degenerate pair of corners with distinct names
-        cd = build_cd(make_arrangement(2, [(0, -1, 1), (0, 1, 1), (0, 1, 0)]))
-        cell = locate(cd, (0, 0))
-        corners = cell_corners(cd, cell)
-        assert len(corners) == 4
-        assert len({p for _, p in corners}) == 1
 
     def test_locate_matches_membership(self):
         rng = random.Random(9)

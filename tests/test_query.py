@@ -171,12 +171,20 @@ class TestNormalize:
         ).truth is True
 
     def test_nonlinear_division_rejected(self):
-        with pytest.raises(QueryError, match="non-linear"):
-            parse_query("1 / x > 0", 1)
+        for text in ("1 / x > 0", "x / abs(y) > 0"):
+            with pytest.raises(QueryError, match="non-linear"):
+                parse_query(text, 1)
+
+    def test_constant_sugar_divisor_folds(self, relu_net):
+        plain = evaluate_query(relu_net, "x / 2 > 0")
+        for text in ("x / abs(2) > 0", "x / max(1, 2) > 0", "x / min(2, 3) > 0"):
+            assert parse_query(text, 1) == parse_query("x / 2 > 0", 1)
+            assert evaluate_query(relu_net, text).cells == plain.cells
 
     def test_division_by_zero_rejected(self):
-        with pytest.raises(QueryError, match="division by zero"):
-            parse_query("x / 0 > 1", 1)
+        for text in ("x / 0 > 1", "x / abs(0) > 0"):
+            with pytest.raises(QueryError, match="division by zero"):
+                parse_query(text, 1)
 
     def test_ordering_violation_repaired(self, relu_net):
         # result variable quantified before the argument: fresh copies fix it
