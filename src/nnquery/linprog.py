@@ -148,10 +148,6 @@ def fm_solve(constraints, d: int):
     return x[1:]
 
 
-def feasible(constraints, d: int) -> bool:
-    return fm_solve(constraints, d) is not None
-
-
 # ---------------------------------------------------------------------------
 # Exact two-phase simplex
 # ---------------------------------------------------------------------------

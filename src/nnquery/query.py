@@ -7,23 +7,23 @@ sugar (``abs``, ``min``/``max``, distance helpers, inline ``F`` inside
 expressions) is compiled away by normalization.
 
 Evaluation is exact and geometric.  A query is normalized into an *ordered
-prenex* form — free variables first, every f-atom of the shape
-F(x_{g1},…,x_{gm}) = x_j with g1 < … < gm < j, every other atom a strict
+prenex* form — free variables first, then the quantified variables in
+prefix order, every f-atom of the shape F(x_{g1},…,x_{gm}) = x_j over
+pairwise-distinct variables in any index order, every other atom a strict
 linear constraint.  The network's piecewise-linear map contributes an
-arrangement: every breakplane and every polytope component is instantiated
-over all index combinations of the query variables, and the constraint
-planes join in.  On the resulting cell decomposition every cell is
-homogeneous for every atom, so the matrix selects a set of full-level
-cells; quantifiers are then eliminated from the inside out — ∃ projects
-cells to their bases, ∀ runs the complement–project–complement dual.  A
-closed query ends at the origin cell (true) or the empty set (false); an
-open query returns the satisfying cells at the free level with one exact
-sample point each.
+arrangement only where the matrix applies F: for each distinct f-atom,
+every breakplane is instantiated at its arguments and every component
+graph at its arguments and result, and the constraint planes join in.  On
+the resulting cell decomposition every cell is homogeneous for every atom,
+so the matrix selects a set of full-level cells; quantifiers are then
+eliminated from the inside out — ∃ projects cells to their bases, ∀ runs
+the complement–project–complement dual.  A closed query ends at the origin
+cell (true) or the empty set (false); an open query returns the satisfying
+cells at the free level with one exact sample point each.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -740,10 +740,10 @@ def _pull_occurrences(node, trigger, gensym):
 
 
 def _extract_f_atoms(node, gensym):
-    """Pull F occurrences into well-ordered f-atoms, bottom-up: each
-    distinct argument tuple is extracted at the innermost quantifier
-    binding one of its variables (or at the root when none is quantified),
-    sharing a single fresh result across all its occurrences."""
+    """Pull F occurrences into f-atoms, bottom-up: each distinct argument
+    tuple is extracted at the innermost quantifier binding one of its
+    variables (or at the root when none is quantified), sharing a single
+    fresh result across all its occurrences."""
     if isinstance(node, (PExists, PForall)):
         body = _extract_f_atoms(node.body, gensym)
         return type(node)(node.var, _pull_occurrences(body, {node.var}, gensym))
@@ -777,20 +777,6 @@ def _prenex(node):
     return [], node
 
 
-def _matrix_fatoms(node, out):
-    if isinstance(node, PFAtom):
-        out.append(node)
-    for sub in _sub_formulas(node):
-        _matrix_fatoms(sub, out)
-    return out
-
-
-def _replace_atoms(node, mapping):
-    if id(node) in mapping:
-        return mapping[id(node)]
-    return _map_formula(node, _replace_atoms, mapping)
-
-
 # Ordered matrix nodes.
 
 
@@ -806,8 +792,8 @@ class MAtom:
 
 @dataclass(frozen=True)
 class MFAtom:
-    args: tuple  # ascending 1-based variable indices g_1 < … < g_m
-    result: int  # index j > g_m
+    args: tuple  # 1-based variable indices g_1..g_m, in F's argument order
+    result: int  # index j of the result, distinct from every g_i
 
 
 @dataclass(frozen=True)
@@ -828,13 +814,12 @@ class MOr:
 @dataclass(frozen=True)
 class OrderedPrenexQuery:
     """Normalized query: free variables first, then the quantifier prefix;
-    matrix over strict linear atoms and well-ordered f-atoms."""
+    matrix over strict linear atoms and f-atoms."""
 
     free_vars: tuple  # user names of x_1..x_k
     var_names: tuple  # names of x_1..x_d (internal names after x_k)
     prefix: tuple  # 'exists'/'forall' for x_{k+1}..x_d
     matrix: object
-    f_arity: int | None
 
 
 def _fold_linear(x):
@@ -894,11 +879,11 @@ def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPr
     """Bring a query into ordered prenex normal form.
 
     Steps: substitute parameters; case-split abs/min/max; pull F
-    occurrences into well-ordered f-atoms with fresh variables; rewrite
-    non-strict/equality comparisons into boolean combinations of strict
+    occurrences into f-atoms with fresh variables; rewrite
+    non-strict/equality comparisons into boolean formulas over strict
     atoms; prenex with capture-avoiding renaming; assign the total variable
-    order with free variables first.  F-atoms whose variables end up
-    violating the order are repaired with fresh innermost existentials.
+    order with free variables first.  An f-atom's variables may take any
+    places in that order.
     """
     params = {k: rational(v) for k, v in (parameters or {}).items()}
     gensym = _Gensym()
@@ -917,40 +902,15 @@ def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPr
     tree = _extract_f_atoms(tree, gensym)
     tree = _pull_occurrences(tree, None, gensym)
 
-    f_arity = None
-    while True:
-        prefix, matrix = _prenex(tree)
-        order = list(free_vars) + [v for _q, v in prefix]
-        pos = {name: i + 1 for i, name in enumerate(order)}
-        violations = []
-        for atom in _matrix_fatoms(matrix, []):
-            f_arity = len(atom.args)
-            idxs = [pos[a] for a in atom.args] + [pos[atom.result]]
-            if any(idxs[i] >= idxs[i + 1] for i in range(len(idxs) - 1)):
-                violations.append(atom)
-        if not violations:
-            break
-        mapping = {}
-        for atom in violations:
-            zs = [gensym.fresh("z") for _ in atom.args]
-            r = gensym.fresh("r")
-            body = PAnd(PFAtom(tuple(zs), r), PCmp("=", xlin_var(r), xlin_var(atom.result)))
-            for z, a in zip(reversed(zs), reversed(atom.args)):
-                body = PAnd(PCmp("=", xlin_var(z), xlin_var(a)), body)
-            for name in reversed(zs + [r]):
-                body = PExists(name, body)
-            mapping[id(atom)] = body
-        tree = _replace_atoms(matrix, mapping)
-        for q, v in reversed(prefix):
-            tree = (PExists if q == "exists" else PForall)(v, tree)
-
+    prefix, matrix = _prenex(tree)
+    order = list(free_vars) + [v for _q, v in prefix]
+    pos = {name: i + 1 for i, name in enumerate(order)}
     lowered = _lower_matrix(matrix, pos)
     return OrderedPrenexQuery(
         free_vars=free_vars,
         var_names=tuple(order),
         prefix=tuple(q for q, _v in prefix),
         matrix=lowered,
-        f_arity=f_arity,
     )
 
 
@@ -975,44 +935,30 @@ def _matrix_nodes(node):
 
 
 def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
-    """A_f ∪ A_ψ in R^d: all context instantiations of the PWL function's
-    breakplanes (m-subsets of variables) and polytope component graphs
-    ((m+1)-subsets), plus the constraint planes of the linear atoms."""
+    """A_f ∪ A_ψ in R^d: for each distinct f-atom F(x_g⃗) = x_j of the
+    matrix, the PWL function's breakplanes at x_g⃗ and its distinct
+    component graphs at (x_g⃗, x_j), plus the constraint planes of the
+    linear atoms."""
     d = len(q.var_names)
     if d < 1:
         raise ValueError("arrangement needs at least one variable")
-    planes = []
-    has_f = False
-    for node in _matrix_nodes(q.matrix):
-        if isinstance(node, MAtom):
-            planes.append(node.coeffs)
-        elif isinstance(node, MFAtom):
-            has_f = True
-    if has_f:
-        if f is None:
-            raise ValueError("query contains F but no function was supplied")
-        m = f.m
-        if d < m + 1:
-            raise ValueError("not enough variables for an f-atom context")
+    nodes = list(_matrix_nodes(q.matrix))
+    planes = [n.coeffs for n in nodes if isinstance(n, MAtom)]
+    fatoms = dict.fromkeys(n for n in nodes if isinstance(n, MFAtom))
+    if fatoms and f is None:
+        raise ValueError("query contains F but no function was supplied")
+    for atom in fatoms:
         for h in f.breakplanes:
-            for gs in itertools.combinations(range(1, d + 1), m):
-                vec = [h[0]] + [Fraction(0)] * d
-                for i, g in enumerate(gs, start=1):
-                    vec[g] = h[i]
-                planes.append(tuple(vec))
-        components = []
-        seen = set()
-        for _pos, comp in f.polytopes:
-            if comp not in seen:
-                seen.add(comp)
-                components.append(comp)
-        for comp in components:
-            for gs in itertools.combinations(range(1, d + 1), m + 1):
-                vec = [comp[0]] + [Fraction(0)] * d
-                for i, g in enumerate(gs[:-1], start=1):
-                    vec[g] = comp[i]
-                vec[gs[-1]] += Fraction(-1)
-                planes.append(tuple(vec))
+            vec = [h[0]] + [Fraction(0)] * d
+            for g, a in zip(atom.args, h[1:], strict=True):
+                vec[g] = a
+            planes.append(tuple(vec))
+        for comp in dict.fromkeys(comp for _pos, comp in f.polytopes):
+            vec = [comp[0]] + [Fraction(0)] * d
+            for g, a in zip(atom.args, comp[1:], strict=True):
+                vec[g] = a
+            vec[atom.result] = Fraction(-1)
+            planes.append(tuple(vec))
     return make_arrangement(d, planes)
 
 

@@ -8,14 +8,45 @@ import nnquery
 PACKAGE = Path(nnquery.__file__).parent
 
 
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_in_library():
     # `python -O` strips assert statements, so internal checks raise
     # explicit exceptions instead; AssertionError is left to the tests.
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert) or (
                 isinstance(node, ast.Name) and node.id == "AssertionError"
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert or AssertionError in the library: {found}"
+
+
+def test_no_unused_import_in_library():
+    # a name imported but never read is dead weight; names listed in
+    # `__all__` (the package's re-exports) count as read
+    found = []
+    for path, tree in _modules():
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        found += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert not found, f"unused imports in the library: {found}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nnquery.linprog import affine_eval, feasible, fm_solve, minimize
+from nnquery.linprog import affine_eval, fm_solve, minimize
 
 
 def check_witness(constraints, d, x):

@@ -1,11 +1,12 @@
 """Tests for query parsing, normalization, and geometric evaluation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from nnquery.geometry import build_cd, cell_contains, make_arrangement
+from nnquery.geometry import build_cd, canonicalize, cell_contains, make_arrangement
 from nnquery.network import Network, Neuron
 from nnquery.pwl import pwl_eval, pwl_from_network
 from nnquery.query import (
@@ -186,12 +187,15 @@ class TestNormalize:
             with pytest.raises(QueryError, match="division by zero"):
                 parse_query(text, 1)
 
-    def test_ordering_violation_repaired(self, relu_net):
-        # result variable quantified before the argument: fresh copies fix it
+    def test_unordered_fatom_kept_in_place(self, relu_net):
+        # the result variable is quantified before the argument; the f-atom
+        # keeps both where the prefix puts them, with no fresh copies
         opq = normalize_ordered_prenex(parse_query("exists y . exists x . F(x) = y", 1))
-        (fatom,) = [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MFAtom)]
-        assert fatom.args[0] < fatom.result
-        assert all(q == "exists" for q in opq.prefix)
+        assert len(opq.var_names) == 2
+        assert opq.prefix == ("exists", "exists")
+        assert [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MFAtom)] == [
+            MFAtom(args=(2,), result=1)
+        ]
         assert evaluate_query(relu_net, "exists y . exists x . F(x) = y").truth is True
 
     def test_shared_occurrences_get_one_result_variable(self):
@@ -221,7 +225,8 @@ class TestNormalize:
 
 class TestArrangement:
     def test_relu_contexts_in_two_variables(self, relu_net):
-        # one breakplane over contexts (1) and (2); graph planes over (1,2)
+        # the breakplane at x1, and the graphs of both components at (x1, x2):
+        # x2 = x1 for the identity and x2 = 0 for the zero component
         f = pwl_from_network(relu_net)
         opq = normalize_ordered_prenex(
             parse_query("exists x1 . exists x2 . F(x1) = x2", 1)
@@ -257,6 +262,38 @@ class TestArrangement:
         opq = normalize_ordered_prenex(parse_query("exists x . F(x) = x", 1))
         with pytest.raises(ValueError, match="no function"):
             build_query_arrangement(None, opq)
+
+    def test_only_the_applied_context_is_instantiated(self):
+        # F(x1, x3) = x2 over a 2-input net: breakplanes at (x1, x3) and the
+        # component graphs at ((x1, x3), x2), nothing at (x1, x2) or (x2, x3)
+        net = Network(
+            2,
+            (
+                (
+                    Neuron(Fraction(1), (Fraction(1), Fraction(-1))),
+                    Neuron(Fraction(0), (Fraction(1), Fraction(2))),
+                ),
+            ),
+            (Neuron(Fraction(0), (Fraction(1), Fraction(-1))),),
+        )
+        f = pwl_from_network(net)
+        components = {comp for _pos, comp in f.polytopes}
+        assert len(f.breakplanes) == 2 and len(components) >= 2
+        opq = normalize_ordered_prenex(
+            parse_query("exists x1 . exists x2 . exists x3 . F(x1, x3) = x2", 2)
+        )
+        assert [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MFAtom)] == [
+            MFAtom(args=(1, 3), result=2)
+        ]
+        arr = build_query_arrangement(f, opq)
+        breaks = [(h0, h1, Fraction(0), h2) for h0, h1, h2 in f.breakplanes]
+        graphs = [(c0, c1, Fraction(-1), c2) for c0, c1, c2 in components]
+        expected = make_arrangement(3, breaks + graphs).hyperplanes
+        assert set(arr.hyperplanes) == set(expected)
+        assert len(arr.hyperplanes) == len(expected)
+        elsewhere = [(h0, h1, h2, Fraction(0)) for h0, h1, h2 in f.breakplanes]
+        elsewhere += [(h0, Fraction(0), h1, h2) for h0, h1, h2 in f.breakplanes]
+        assert not {canonicalize(h) for h in elsewhere} & set(arr.hyperplanes)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +414,32 @@ class TestEvaluate:
             outer = evaluate_query(net, f"not ({text})").truth
             assert outer is (not inner)
 
+    def test_image_query_covers_the_range(self):
+        # F(x) = −1/2 + relu(x − 1) + relu(1 − 2x) takes exactly the values
+        # ≥ −1/2; the f-atom's result x is bound before its argument y
+        net = Network(
+            1,
+            (
+                (
+                    Neuron(Fraction(-1), (Fraction(1),)),
+                    Neuron(Fraction(1), (Fraction(-2),)),
+                ),
+            ),
+            (Neuron(Fraction(-1, 2), (Fraction(1), Fraction(1))),),
+        )
+        text = "exists y . F(y) = x"
+        r = evaluate_query(net, text)
+        assert r.free_vars == ("x",)
+        f = pwl_from_network(net)
+        cd = build_cd(build_query_arrangement(f, normalize_ordered_prenex(parse_query(text, 1))))
+        # the cells at level 1 partition the line; the section at −1/2 and
+        # every cell right of it are selected, nothing left of it
+        assert any(
+            c.kind == "section" and c.sample == (Fraction(-1, 2),) for c in cd.levels[1]
+        )
+        selected = {cid for cid, _s in r.cells}
+        assert selected == {c.id for c in cd.levels[1] if c.sample[0] >= Fraction(-1, 2)}
+
     def test_agrees_with_quantifier_elimination_oracle(self):
         rng = random.Random(20260816)
         for trial in range(36):
@@ -404,6 +467,55 @@ class TestEvaluate:
             got = evaluate_query(net, text).truth
             want = oracle_query(pwl, prefix, matrix, len(prefix))
             assert got == want, text
+
+    def test_unordered_contexts_agree_with_oracle(self):
+        # f-atoms in any variable order, a result bound before its
+        # arguments included, against Fourier–Motzkin elimination
+        rng = random.Random(8)
+        result_first = 0
+        for trial in range(24):
+            if trial % 2 == 0:
+                d, m = rng.randint(2, 3), 1
+                net = random_network(rng, 1, 2, max_width=2)
+            else:
+                d, m = 3, 2
+                net = random_network(rng, 2, 2, max_width=1)
+            text, prefix, matrix = _permuted_sentence(rng, d, m, rng.randint(1, 3))
+            result_first += any(j < max(gs) for gs, j in _fatoms(matrix))
+            got = evaluate_query(net, text).truth
+            want = oracle_query(pwl_from_network(net), prefix, matrix, d)
+            assert got == want, text
+        assert result_first >= 12
+
+
+def _permuted_sentence(rng, d, m, n_atoms):
+    """A random_ordered_sentence whose matrix variables are renamed by a
+    random permutation, so f-atom contexts come in any order."""
+    text, prefix, matrix = random_ordered_sentence(rng, d, m, n_atoms, with_f=True)
+    perm = [0] + rng.sample(range(1, d + 1), d)
+    head = "".join(f"{q} x{i} . " for i, q in enumerate(prefix, start=1))
+    assert text.startswith(head)
+    body = re.sub(r"x(\d+)", lambda mt: f"x{perm[int(mt.group(1))]}", text[len(head):])
+
+    def rename(t):
+        if t[0] == "lin":
+            coeffs = [t[1][0]] + [None] * d
+            for i in range(1, d + 1):
+                coeffs[perm[i]] = t[1][i]
+            return ("lin", tuple(coeffs), t[2])
+        if t[0] == "f":
+            return ("f", tuple(perm[g] for g in t[1]), perm[t[2]])
+        return (t[0],) + tuple(rename(sub) for sub in t[1:])
+
+    return head + body, prefix, rename(matrix)
+
+
+def _fatoms(tree):
+    if tree[0] == "f":
+        return [(tree[1], tree[2])]
+    if tree[0] == "lin":
+        return []
+    return [a for sub in tree[1:] for a in _fatoms(sub)]
 
 
 # ---------------------------------------------------------------------------
