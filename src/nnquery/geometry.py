@@ -11,7 +11,7 @@ non-parallel non-vertical planes, the projection of their intersection —
 and then stacking cells upward.  Projection guarantees delineability: over
 any base cell, the mappings induced by the level's planes never cross, so
 ordering them at the base cell's sample point orders them over the whole
-cell.
+cell, and a cell's place in that order fixes its sign on every plane.
 
 All coordinates are exact rationals.  Hyperplanes are stored canonically:
 integer coefficients with gcd 1 and a positive leading linear coefficient,
@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import itemgetter
 
 from .core import rational
 from .linprog import affine_eval
@@ -151,10 +152,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellDecomposition:
+    """The cells of every level and the plane pools they are adapted to.
+
+    ``sections[b][j]`` is the stack index, over base cell b of level i−1, of
+    the section of the j-th non-vertical plane of ``pools[i]``.
+    """
+
     d: int
     pools: dict  # level i (1..d) → tuple of canonical hyperplanes of A_i
     levels: tuple  # levels[i] = tuple of level-i cells in construction order
     index: dict  # cell id → Cell
+    sections: dict  # base cell id → section stack index per non-vertical plane
 
     def cells(self, level: int):
         return self.levels[level]
@@ -169,26 +177,27 @@ class CellDecomposition:
 def _stack_elements(planes_nonvertical, base_sample):
     """The alternating sector/section stack over one base cell.
 
-    Returns (kind, lower, upper, sample_extension) tuples in bottom-up
-    order.  Mappings equal at the base sample are equal over the whole base
-    cell (delineability), so grouping by sample value is exact.
+    Returns (stack, sections): ``stack`` holds (kind, lower, upper,
+    sample_extension) tuples in bottom-up order, and ``sections[j]`` is the
+    stack index of the section of ``planes_nonvertical[j]``.  Mappings equal
+    at the base sample are equal over the whole base cell (delineability),
+    so grouping by sample value is exact.
     """
     groups = {}
-    for h in planes_nonvertical:
-        groups.setdefault(mapping_value(h, base_sample), []).append(h)
-    values = sorted(groups)
-    if not values:
-        return [("sector", None, None, Fraction(0))]
-    stack = [("sector", None, groups[values[0]][0], values[0] - 1)]
-    for k, v in enumerate(values):
-        plane = groups[v][0]
+    for j, h in enumerate(planes_nonvertical):
+        groups.setdefault(mapping_value(h, base_sample), []).append(j)
+    sections = [0] * len(planes_nonvertical)
+    stack = []
+    below = prev = None
+    for v, members in sorted(groups.items(), key=itemgetter(0)):
+        plane = planes_nonvertical[members[0]]
+        stack.append(("sector", below, plane, v - 1 if prev is None else (prev + v) / 2))
+        for j in members:
+            sections[j] = len(stack)
         stack.append(("section", plane, plane, v))
-        if k + 1 < len(values):
-            nxt = values[k + 1]
-            stack.append(("sector", plane, groups[nxt][0], (v + nxt) / 2))
-        else:
-            stack.append(("sector", plane, None, v + 1))
-    return stack
+        below, prev = plane, v
+    stack.append(("sector", below, None, Fraction(0) if prev is None else prev + 1))
+    return stack, tuple(sections)
 
 
 def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
@@ -196,7 +205,10 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
 
     ``restrict(level, sample)`` may prune cells (with their whole towers)
     during construction when the caller only needs the part of space where
-    the predicate holds; pruning never alters surviving cells.
+    the predicate holds; pruning never alters surviving cells.  Ordering a
+    stack places every pool plane's section in it, so the section indices
+    are kept per base cell and every cell's signs on the pool planes can
+    later be read without arithmetic (``plane_sign``).
     """
     d = arr.d
     pools = {d: arr.hyperplanes}
@@ -205,13 +217,13 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
 
     origin = Cell(id=(), level=0, kind="origin", base=None, lower=None, upper=None, sample=())
     levels = [(origin,)]
+    sections = {}
     for i in range(1, d + 1):
         nonvertical = [h for h in pools[i] if h[i] != 0]
         new = []
         for base in levels[i - 1]:
-            for k, (kind, lo, hi, t) in enumerate(
-                _stack_elements(nonvertical, base.sample)
-            ):
+            stack, sections[base.id] = _stack_elements(nonvertical, base.sample)
+            for k, (kind, lo, hi, t) in enumerate(stack):
                 sample = base.sample + (t,)
                 if restrict is not None and not restrict(i, sample):
                     continue
@@ -228,7 +240,9 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
                 )
         levels.append(tuple(new))
     index = {c.id: c for level in levels for c in level}
-    return CellDecomposition(d=d, pools=pools, levels=tuple(levels), index=index)
+    return CellDecomposition(
+        d=d, pools=pools, levels=tuple(levels), index=index, sections=sections
+    )
 
 
 def cd_stats(cd: CellDecomposition) -> dict:
@@ -245,23 +259,51 @@ def cd_stats(cd: CellDecomposition) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def plane_sign(cd: CellDecomposition, coeffs):
+    """The sign of a pool hyperplane on the cells of its level.
+
+    ``coeffs`` (a_0..a_i, not necessarily canonical) must be a plane of the
+    decomposition's pool at level i.  Returns a function from the id of a
+    level-i cell to −1, 0 or 1: the sign of a_0 + a_1·x_1 + … + a_i·x_i on
+    that cell, read from the stack over the cell's base.  A non-vertical
+    plane's sign compares the cell's stack index with the index of the
+    plane's section; a vertical plane takes the sign of its truncation
+    a_0..a_{i−1}, which projection puts in the pool one level down.
+    """
+    i = len(coeffs) - 1
+    pool = cd.pools.get(i, ())
+    canon = coeffs if coeffs in pool else canonicalize(coeffs)
+    if canon not in pool:
+        raise ValueError(
+            f"hyperplane is not in the decomposition's pool at level {i}: "
+            "the decomposition is not compatible with it"
+        )
+    if coeffs[i] == 0:
+        below = plane_sign(cd, coeffs[:i])
+        return lambda cid: below(cid[:-1])
+    j = [h for h in pool if h[i] != 0].index(canon)
+    up = 1 if coeffs[i] > 0 else -1
+    sections = cd.sections
+
+    def sign(cid):
+        k, s = cid[-1], sections[cid[:-1]][j]
+        return up if k > s else -up if k < s else 0
+
+    return sign
+
+
 def cell_side(cd: CellDecomposition, cell: Cell, coeffs) -> str:
     """Side of the cell relative to a hyperplane: '+', '-', or '0'.
 
     The hyperplane (given by raw coefficients, not necessarily canonical)
     must belong to the decomposition's pool at the cell's level — then the
-    cell lies entirely on one side or inside it, so the sign at the sample
-    point is the sign everywhere.  The sign returned is that of the
-    coefficients exactly as given.
+    cell lies entirely on one side or inside it.  The sign returned is that
+    of the coefficients exactly as given.
     """
     coeffs = tuple(rational(a) for a in coeffs)
     if len(coeffs) != cell.level + 1:
         raise ValueError("hyperplane dimension does not match cell level")
-    canon = canonicalize(coeffs)
-    if canon not in cd.pools[cell.level]:
-        raise ValueError("hyperplane is not in the decomposition's pool at this level")
-    v = affine_eval(coeffs, cell.sample)
-    return "+" if v > 0 else "-" if v < 0 else "0"
+    return "-0+"[plane_sign(cd, coeffs)(cell.id) + 1]
 
 
 def cell_contains(cd: CellDecomposition, cell: Cell, point) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import format_rational, rational
-from .geometry import build_cd, canonicalize, make_arrangement
+from .geometry import build_cd, canonicalize, make_arrangement, plane_sign
 from .linprog import affine_eval, fm_solve
 from .network import Network, NeuronId
 
@@ -40,6 +40,7 @@ __all__ = [
     "pwl_from_network",
     "pwl_eval",
     "sign_position",
+    "cell_position",
     "pwl_restrict",
     "pwl_proper_check",
     "pwl_to_json",
@@ -79,6 +80,12 @@ def sign_position(planes, x) -> str:
     return pos
 
 
+def cell_position(signs, cid) -> str:
+    """The position of a decomposition's cell over planes given by their
+    ``plane_sign`` functions: one '+-=' sign each."""
+    return "".join("=+-"[s(cid)] for s in signs)  # index −1 is '-'
+
+
 def _zero_component(m: int) -> tuple:
     return (Fraction(0),) * (m + 1)
 
@@ -86,19 +93,20 @@ def _zero_component(m: int) -> tuple:
 def _realizable_positions(planes, m: int):
     """All realizable sign positions over the plane list, with witnesses.
 
-    Enumerated from the full-level cells of the decomposition: each sample
-    realizes its position, and the cells partition R^m, so every realizable
-    position is reached.  Returns (position, sample) pairs, first witness
-    per position, in deterministic cell order.
+    Enumerated from the full-level cells of the decomposition: each cell
+    realizes its position, read from the stacks, and the cells partition
+    R^m, so every realizable position is reached.  Returns (position,
+    sample) pairs, first witness per position, in deterministic cell order.
     """
     arr = make_arrangement(m, planes)
     if arr.hyperplanes != tuple(planes):
         raise RuntimeError("breakplanes must arrive canonical and deduplicated")
     cd = build_cd(arr)
+    signs = [plane_sign(cd, h) for h in planes]
     out = []
     seen = set()
     for cell in cd.levels[m]:
-        pos = sign_position(planes, cell.sample)
+        pos = cell_position(signs, cell.id)
         if pos not in seen:
             seen.add(pos)
             out.append((pos, cell.sample))

@@ -15,7 +15,8 @@ arrangement only where the matrix applies F: for each distinct f-atom,
 every breakplane is instantiated at its arguments and every component
 graph at its arguments and result, and the constraint planes join in.  On
 the resulting cell decomposition every cell is homogeneous for every atom,
-so the matrix selects a set of full-level cells; quantifiers are then
+so the matrix, reading each atom's sign from the stacks, selects a set of
+full-level cells; quantifiers are then
 eliminated from the inside out — ∃ projects cells to their bases, ∀ runs
 the complement–project–complement dual.  A closed query ends at the origin
 cell (true) or the empty set (false); an open query returns the satisfying
@@ -29,10 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import rational
-from .geometry import Arrangement, build_cd, canonicalize, make_arrangement
-from .linprog import affine_eval
+from .geometry import Arrangement, build_cd, make_arrangement, plane_sign
 from .network import Network
-from .pwl import PwlFunction, pwl_from_network
+from .pwl import PwlFunction, cell_position, pwl_from_network
 
 __all__ = [
     "QueryError",
@@ -934,6 +934,27 @@ def _matrix_nodes(node):
             yield from _matrix_nodes(item)
 
 
+def _instantiate(f, atom: MFAtom, d: int):
+    """The f-atom's planes in R^d: F's breakplanes at the atom's arguments,
+    and {component: its graph at the arguments and the result} for the
+    distinct components."""
+
+    def at_args(coeffs):
+        vec = [coeffs[0]] + [Fraction(0)] * d
+        for g, a in zip(atom.args, coeffs[1:], strict=True):
+            vec[g] = a
+        return vec
+
+    breaks = [tuple(at_args(h)) for h in f.breakplanes]
+    graphs = {}
+    for _pos, comp in f.polytopes:
+        if comp not in graphs:
+            vec = at_args(comp)
+            vec[atom.result] = Fraction(-1)
+            graphs[comp] = tuple(vec)
+    return breaks, graphs
+
+
 def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
     """A_f ∪ A_ψ in R^d: for each distinct f-atom F(x_g⃗) = x_j of the
     matrix, the PWL function's breakplanes at x_g⃗ and its distinct
@@ -948,52 +969,67 @@ def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
     if fatoms and f is None:
         raise ValueError("query contains F but no function was supplied")
     for atom in fatoms:
-        for h in f.breakplanes:
-            vec = [h[0]] + [Fraction(0)] * d
-            for g, a in zip(atom.args, h[1:], strict=True):
-                vec[g] = a
-            planes.append(tuple(vec))
-        for comp in dict.fromkeys(comp for _pos, comp in f.polytopes):
-            vec = [comp[0]] + [Fraction(0)] * d
-            for g, a in zip(atom.args, comp[1:], strict=True):
-                vec[g] = a
-            vec[atom.result] = Fraction(-1)
-            planes.append(tuple(vec))
+        breaks, graphs = _instantiate(f, atom, d)
+        planes += breaks
+        planes += graphs.values()
     return make_arrangement(d, planes)
 
 
-def _cell_satisfies(f, matrix, sample) -> bool:
+def _fatom_predicate(cd, f, atom: MFAtom):
+    breaks, graphs = _instantiate(f, atom, cd.d)
+    signs = [plane_sign(cd, h) for h in breaks]
+    graph_sign = {comp: plane_sign(cd, g) for comp, g in graphs.items()}
+    on_graph = {pos: graph_sign[comp] for pos, comp in f.polytopes}
+
+    def holds(cid):
+        pos = cell_position(signs, cid)
+        sign = on_graph.get(pos)
+        if sign is None:
+            raise ValueError(f"function is not proper: no polytope at position {pos!r}")
+        return sign(cid) == 0
+
+    return holds
+
+
+def _predicate(cd, f, matrix):
+    """The matrix lowered once into a predicate over full-level cell ids.
+
+    Every atom's sign on a cell is read from the decomposition's stacks: a
+    linear atom holds where its plane is positive, an f-atom where the
+    graph of the component at the cell's position over the instantiated
+    breakplanes has sign 0.
+    """
     if isinstance(matrix, MBool):
-        return matrix.value
+        return lambda cid: matrix.value
     if isinstance(matrix, MAtom):
-        return affine_eval(matrix.coeffs, sample) > 0
+        if len(matrix.coeffs) != cd.d + 1:
+            raise ValueError("decomposition is not compatible with the query arrangement")
+        sign = plane_sign(cd, matrix.coeffs)
+        return lambda cid: sign(cid) > 0
     if isinstance(matrix, MFAtom):
-        proj = tuple(sample[g - 1] for g in matrix.args)
-        return affine_eval(f.component_at(proj), proj) == sample[matrix.result - 1]
+        return _fatom_predicate(cd, f, matrix)
     if isinstance(matrix, MNot):
-        return not _cell_satisfies(f, matrix.body, sample)
-    if isinstance(matrix, MAnd):
-        return all(_cell_satisfies(f, item, sample) for item in matrix.items)
-    if isinstance(matrix, MOr):
-        return any(_cell_satisfies(f, item, sample) for item in matrix.items)
+        body = _predicate(cd, f, matrix.body)
+        return lambda cid: not body(cid)
+    if isinstance(matrix, (MAnd, MOr)):
+        items = [_predicate(cd, f, item) for item in matrix.items]
+        test = all if isinstance(matrix, MAnd) else any
+        return lambda cid: test(p(cid) for p in items)
     raise RuntimeError(f"unexpected matrix node: {matrix!r}")
 
 
 def select_cells_qfree(cd, f, matrix) -> CellSet:
     """The set of full-level cells satisfying the quantifier-free matrix.
 
-    Every atom is homogeneous on every cell (the decomposition is built over
-    all atom planes), so sample-point evaluation decides each cell.
+    The decomposition must be built over every plane of the matrix (atom
+    planes, and F's instantiated breakplanes and graphs for each f-atom);
+    otherwise a ValueError reports it as not compatible.  Every atom is then
+    sign-invariant on every cell, and its sign is read from the stacks, so
+    no cell is decided by arithmetic.
     """
     d = cd.d
-    pool = set(cd.pools[d])
-    for node in _matrix_nodes(matrix):
-        if isinstance(node, MAtom) and canonicalize(node.coeffs) not in pool:
-            raise ValueError("decomposition is not compatible with the query arrangement")
-    ids = frozenset(
-        c.id for c in cd.levels[d] if _cell_satisfies(f, matrix, c.sample)
-    )
-    return CellSet(level=d, ids=ids)
+    holds = _predicate(cd, f, matrix)
+    return CellSet(level=d, ids=frozenset(c.id for c in cd.levels[d] if holds(c.id)))
 
 
 def project_exists(cd, s: CellSet) -> CellSet:
@@ -1045,7 +1081,7 @@ def evaluate_query(subject, query, parameters=None, free_order=None) -> QueryRes
     d = len(q.var_names)
     k = len(q.free_vars)
     if d == 0:
-        return QueryResult(truth=_cell_satisfies(None, q.matrix, ()))
+        return QueryResult(truth=_predicate(None, None, q.matrix)(()))
 
     has_f = any(isinstance(n, MFAtom) for n in _matrix_nodes(q.matrix))
     f = None

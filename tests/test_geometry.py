@@ -16,6 +16,7 @@ from nnquery.geometry import (
     compatibility_check,
     locate,
     make_arrangement,
+    plane_sign,
     project_arrangement,
 )
 from nnquery.linprog import affine_eval
@@ -184,6 +185,53 @@ class TestCellQueries:
         cd = build_cd(make_arrangement(1, [(-2, 1)]))
         with pytest.raises(ValueError):
             cell_side(cd, cd.levels[1][0], (-3, 1))
+
+    def test_stack_signs_match_sample_signs(self):
+        # the sign read from the stacks equals the sign at the sample for
+        # every pool plane at every level, in both orientations, with
+        # vertical planes, planes concurrent over a base cell and pruning
+        rng = random.Random(31)
+        vertical = concurrent = pruned = 0
+        for trial in range(60):
+            d = 1 + trial % 3
+            hub = [Fraction(rng.randint(-4, 4), 2) for _ in range(d)]
+            planes = []
+            for _ in range(rng.randint(1, 5)):
+                lin = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+                kind = rng.random()
+                if d > 1 and kind < 0.3:
+                    lin[-1] = Fraction(0)
+                if all(a == 0 for a in lin):
+                    lin[rng.randrange(d)] = Fraction(1)
+                if kind > 0.55:  # through the hub, so planes meet over one base cell
+                    const = -sum(a * x for a, x in zip(lin, hub))
+                else:
+                    const = Fraction(rng.randint(-3, 3))
+                planes.append((const, *lin))
+            arr = make_arrangement(d, planes)
+            if trial % 4 == 3:
+                bound = rng.randint(-1, 2)
+                cd = build_cd(arr, restrict=lambda lvl, s: s[-1] <= bound)
+                pruned += len(cd.index) < len(build_cd(arr).index)
+            else:
+                cd = build_cd(arr)
+            concurrent += any(len(set(s)) < len(s) for s in cd.sections.values())
+            for level in range(1, d + 1):
+                for h in cd.pools[level]:
+                    vertical += h[level] == 0
+                    for raw in (h, tuple(-2 * a for a in h)):
+                        sign = plane_sign(cd, raw)
+                        for cell in cd.levels[level]:
+                            v = affine_eval(raw, cell.sample)
+                            assert sign(cell.id) == (v > 0) - (v < 0), (raw, cell)
+        assert vertical >= 20 and concurrent >= 10 and pruned >= 5
+
+    def test_plane_sign_requires_pool_membership(self):
+        cd = build_cd(make_arrangement(2, [(0, 1, 1)]))
+        with pytest.raises(ValueError, match="not compatible"):
+            plane_sign(cd, (0, 1, -1))
+        with pytest.raises(ValueError, match="not compatible"):
+            plane_sign(cd, (0, 1, 1, 1))
 
     def test_locate_matches_membership(self):
         rng = random.Random(9)

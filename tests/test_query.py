@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from nnquery.geometry import build_cd, canonicalize, cell_contains, make_arrangement
+from nnquery.linprog import affine_eval
 from nnquery.network import Network, Neuron
 from nnquery.pwl import pwl_eval, pwl_from_network
 from nnquery.query import (
     CellSet,
     MAnd,
     MAtom,
+    MBool,
     MFAtom,
     MNot,
+    MOr,
     QueryError,
     build_query_arrangement,
     complement,
@@ -339,6 +342,49 @@ class TestSelection:
         with pytest.raises(ValueError, match="not compatible"):
             select_cells_qfree(cd, None, MAtom((Fraction(-1), Fraction(1))))
 
+    def test_incompatible_decomposition_rejected_for_f_atoms(self, relu_net):
+        # F(x1) = x2 needs the breakplane x1 = 0 and both graphs, x2 = 0 and
+        # x2 = x1; a decomposition missing either kind is refused
+        f = pwl_from_network(relu_net)
+        opq = normalize_ordered_prenex(parse_query("exists x1 . exists x2 . F(x1) = x2", 1))
+        for planes in ([(0, 1, 0)], [(0, 0, 1), (0, 1, -1)]):
+            cd = build_cd(make_arrangement(2, planes))
+            with pytest.raises(ValueError, match="not compatible"):
+                select_cells_qfree(cd, f, opq.matrix)
+
+    def test_selection_matches_sample_evaluation(self):
+        # stack-read selection against the matrix decided by arithmetic at
+        # every cell's sample, over random normalized matrices with and
+        # without F, f-atoms in any variable order included
+        rng = random.Random(12)
+        flipped = 0
+        for trial in range(36):
+            if trial % 3 == 0:
+                d, f = rng.randint(1, 3), None
+                text, _prefix, _tree = random_ordered_sentence(
+                    rng, d, 1, rng.randint(1, 4), with_f=False
+                )
+                m = 1
+            elif trial % 3 == 1:
+                d, m = rng.randint(2, 3), 1
+                f = pwl_from_network(random_network(rng, 1, 2, max_width=2))
+                text, _prefix, _tree = _permuted_sentence(rng, d, m, rng.randint(1, 3))
+            else:
+                d, m = 3, 2
+                f = pwl_from_network(random_network(rng, 2, 2, max_width=1))
+                text, _prefix, _tree = _permuted_sentence(rng, d, m, rng.randint(1, 3))
+            opq = normalize_ordered_prenex(parse_query(text, m))
+            flipped += any(  # a negative leading coefficient
+                isinstance(n, MAtom) and next(a for a in n.coeffs[1:] if a) < 0
+                for n in _matrix_nodes(opq.matrix)
+            )
+            cd = build_cd(build_query_arrangement(f, opq))
+            want = {
+                c.id for c in cd.levels[d] if _sample_satisfies(f, opq.matrix, c.sample)
+            }
+            assert select_cells_qfree(cd, f, opq.matrix).ids == want, text
+        assert flipped >= 12
+
     def test_project_exists_collects_bases(self):
         arr = make_arrangement(2, [(Fraction(0), Fraction(1), Fraction(0))])
         cd = build_cd(arr)
@@ -486,6 +532,25 @@ class TestEvaluate:
             want = oracle_query(pwl_from_network(net), prefix, matrix, d)
             assert got == want, text
         assert result_first >= 12
+
+
+def _sample_satisfies(f, matrix, sample) -> bool:
+    """Reference for cell selection: the matrix decided by arithmetic at one
+    sample point."""
+    if isinstance(matrix, MBool):
+        return matrix.value
+    if isinstance(matrix, MAtom):
+        return affine_eval(matrix.coeffs, sample) > 0
+    if isinstance(matrix, MFAtom):
+        proj = tuple(sample[g - 1] for g in matrix.args)
+        return affine_eval(f.component_at(proj), proj) == sample[matrix.result - 1]
+    if isinstance(matrix, MNot):
+        return not _sample_satisfies(f, matrix.body, sample)
+    if isinstance(matrix, MAnd):
+        return all(_sample_satisfies(f, item, sample) for item in matrix.items)
+    if isinstance(matrix, MOr):
+        return any(_sample_satisfies(f, item, sample) for item in matrix.items)
+    raise TypeError(f"unexpected matrix node: {matrix!r}")
 
 
 def _permuted_sentence(rng, d, m, n_atoms):
