@@ -474,13 +474,7 @@ class _Parser:
             raise ParseError("element term used in arithmetic", at)
         if isinstance(operand, Formula):
             raise ParseError("formula used in arithmetic", at)
-        if isinstance(operand, TRationalFunction) and not operand.subterms:
-            den = poly_to_dict(operand.den)
-            if list(den) == [()]:
-                num = poly_to_dict(operand.num)
-                q = num.get((), Fraction(0)) / den[()]
-                return _RF.const(q)
-        return _RF.atom(operand)
+        return _to_rf(operand)
 
     def _parse_addsub(self):
         at = self._peek()[2]

@@ -109,12 +109,6 @@ def _project_planes(planes, i: int):
     return tuple(out)
 
 
-def project_arrangement(arr: Arrangement) -> Arrangement:
-    if arr.d < 2:
-        raise ValueError("cannot project an arrangement on R^1")
-    return Arrangement(d=arr.d - 1, hyperplanes=_project_planes(arr.hyperplanes, arr.d))
-
-
 def mapping_value(h, y) -> Fraction:
     """Height of the non-vertical hyperplane h over the point y of R^{i-1}."""
     i = len(h) - 1
@@ -290,20 +284,6 @@ def plane_sign(cd: CellDecomposition, coeffs):
         return up if k > s else -up if k < s else 0
 
     return sign
-
-
-def cell_side(cd: CellDecomposition, cell: Cell, coeffs) -> str:
-    """Side of the cell relative to a hyperplane: '+', '-', or '0'.
-
-    The hyperplane (given by raw coefficients, not necessarily canonical)
-    must belong to the decomposition's pool at the cell's level — then the
-    cell lies entirely on one side or inside it.  The sign returned is that
-    of the coefficients exactly as given.
-    """
-    coeffs = tuple(rational(a) for a in coeffs)
-    if len(coeffs) != cell.level + 1:
-        raise ValueError("hyperplane dimension does not match cell level")
-    return "-0+"[plane_sign(cd, coeffs)(cell.id) + 1]
 
 
 def cell_contains(cd: CellDecomposition, cell: Cell, point) -> bool:

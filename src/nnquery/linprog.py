@@ -1,17 +1,13 @@
-"""Exact linear feasibility and optimization over the rationals.
+"""Exact linear optimization over the rationals.
 
 Floating-point LP would poison the engine's exactness guarantees, so this
-module implements the two primitives the geometric pipeline needs from first
-principles, entirely over `fractions.Fraction`:
-
-* Fourier–Motzkin elimination for feasibility of mixed strict/non-strict
-  linear systems, with witness extraction by back-substitution; and
-* a two-phase tableau simplex (Bland's rule, hence terminating) for
-  minimizing a linear objective over a closed polyhedron.
+module implements, entirely over `fractions.Fraction`, a two-phase tableau
+simplex (Bland's rule, hence terminating) for minimizing a linear objective
+over a closed polyhedron.
 
 Conventions: an affine functional over R^d is a tuple (a_0, a_1, …, a_d)
 denoting a_0 + Σ a_i·x_i.  A constraint is (functional, rel) with rel one of
-'gt' (> 0), 'ge' (≥ 0), 'eq' (= 0).
+'ge' (≥ 0) or 'eq' (= 0).
 """
 
 from __future__ import annotations
@@ -25,127 +21,6 @@ def affine_eval(f, x) -> Fraction:
     for a, v in zip(f[1:], x):
         total += a * v
     return total
-
-
-def _substitute(f, j: int, expr) -> tuple:
-    """Replace x_j by the affine expr (a tuple with coefficient 0 at j)."""
-    c = f[j]
-    if c == 0:
-        return f
-    return tuple(
-        (fi if i != j else Fraction(0)) + c * expr[i] for i, fi in enumerate(f)
-    )
-
-
-def fm_solve(constraints, d: int):
-    """Witness point for a mixed strict/non-strict system, or None.
-
-    Equalities are removed by exact Gaussian substitution first; the
-    remaining inequalities are eliminated variable by variable (highest
-    index first), pairing lower and upper bounds; a witness is rebuilt by
-    back-substitution, choosing midpoints of the residual intervals.
-    """
-    work = []
-    for f, rel in constraints:
-        f = tuple(Fraction(a) for a in f)
-        if len(f) != d + 1:
-            raise ValueError(f"functional of wrong dimension: {f}")
-        work.append((f, rel))
-
-    # Phase A: eliminate equalities by substitution.
-    subs = []  # chronological (j, expr): x_j := expr, expr[j] == 0
-    while True:
-        pick = None
-        for k, (f, rel) in enumerate(work):
-            if rel == "eq" and any(f[j] != 0 for j in range(1, d + 1)):
-                pick = (k, f)
-                break
-        if pick is None:
-            break
-        k, f = pick
-        j = max(i for i in range(1, d + 1) if f[i] != 0)
-        c = f[j]
-        expr = tuple(
-            Fraction(0) if i == j else -f[i] / c for i in range(d + 1)
-        )
-        del work[k]
-        work = [(_substitute(g, j, expr), rel) for g, rel in work]
-        subs.append((j, expr))
-
-    eliminated = {j for j, _ in subs}
-
-    def split_constants(cons):
-        rest = []
-        for f, rel in cons:
-            if all(f[i] == 0 for i in range(1, d + 1)):
-                v = f[0]
-                ok = v > 0 if rel == "gt" else (v >= 0 if rel == "ge" else v == 0)
-                if not ok:
-                    return None
-            else:
-                rest.append((f, rel))
-        return rest
-
-    work = split_constants(work)
-    if work is None:
-        return None
-
-    # Phase B: Fourier–Motzkin on the inequalities.
-    stack = []  # (j, lowers, uppers) in elimination order
-    for j in sorted(set(range(1, d + 1)) - eliminated, reverse=True):
-        lowers, uppers, rest = [], [], []
-        for f, rel in work:
-            c = f[j]
-            if c == 0:
-                rest.append((f, rel))
-                continue
-            bound = tuple(
-                Fraction(0) if i == j else -f[i] / c for i in range(d + 1)
-            )
-            (lowers if c > 0 else uppers).append((bound, rel))
-        new = rest
-        for lb, rl in lowers:
-            for ub, ru in uppers:
-                diff = tuple(u - l for u, l in zip(ub, lb))
-                rel = "gt" if "gt" in (rl, ru) else "ge"
-                new.append((diff, rel))
-        stack.append((j, lowers, uppers))
-        work = split_constants(new)
-        if work is None:
-            return None
-
-    # Back-substitution: assign FM-eliminated variables in reverse order,
-    # then the equality-eliminated ones in reverse chronological order.
-    x = [Fraction(0)] * (d + 1)
-    x[0] = Fraction(1)
-    for j, lowers, uppers in reversed(stack):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for bound, rel in lowers:
-            v = sum(b * xi for b, xi in zip(bound, x))
-            if lo is None or v > lo:
-                lo, lo_strict = v, rel == "gt"
-            elif v == lo:
-                lo_strict = lo_strict or rel == "gt"
-        for bound, rel in uppers:
-            v = sum(b * xi for b, xi in zip(bound, x))
-            if hi is None or v < hi:
-                hi, hi_strict = v, rel == "gt"
-            elif v == hi:
-                hi_strict = hi_strict or rel == "gt"
-        if lo is None and hi is None:
-            x[j] = Fraction(0)
-        elif lo is None:
-            x[j] = hi - 1 if hi_strict else hi
-        elif hi is None:
-            x[j] = lo + 1 if lo_strict else lo
-        elif lo == hi:
-            x[j] = lo  # both must be non-strict or FM would have failed
-        else:
-            x[j] = (lo + hi) / 2
-    for j, expr in reversed(subs):
-        x[j] = sum(e * xi for e, xi in zip(expr, x))
-    return x[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -211,17 +211,6 @@ def forward(net: Network, x) -> list:
     return [nr.bias + sum(w * a for w, a in zip(nr.weights, acts)) for nr in net.outputs]
 
 
-def hidden_preactivations(net: Network, x) -> list:
-    """Pre-ReLU values of every hidden neuron, layer by layer."""
-    acts = [rational(v) for v in x]
-    pres = []
-    for layer in net.hidden:
-        pre = [nr.bias + sum(w * a for w, a in zip(nr.weights, acts)) for nr in layer]
-        pres.append(pre)
-        acts = [max(Fraction(0), p) for p in pre]
-    return pres
-
-
 def graph_vocabulary(m: int, n: int = 1) -> Vocabulary:
     """The weighted-graph vocabulary for networks with m inputs, n outputs:
     edge relation E, constants in_i/out_j, bias b, edge weight w, and the

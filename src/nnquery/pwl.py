@@ -14,21 +14,22 @@ coordinate functions are combined by scaling, summation (plane union) and
 exact ReLU application (each component's zero-set joins the breakplanes).
 Realizable positions are enumerated from the cell decomposition of the
 breakplane arrangement: every cell's sample realizes one position, and
-every realizable position is hit by some cell.  Feasibility checking in
-``pwl_proper_check`` deliberately goes through Fourier–Motzkin elimination
-instead, so construction and verification follow independent routes.
+every realizable position is hit by some cell.  The properness check lives
+with the test oracles, where feasibility goes through Fourier–Motzkin
+elimination instead, so construction and verification follow independent
+routes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .core import format_rational, rational
 from .geometry import build_cd, canonicalize, make_arrangement, plane_sign
-from .linprog import affine_eval, fm_solve
+from .linprog import affine_eval
 from .network import Network, NeuronId
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "sign_position",
     "cell_position",
     "pwl_restrict",
-    "pwl_proper_check",
     "pwl_to_json",
     "pwl_from_json",
 ]
@@ -62,13 +62,22 @@ class PwlFunction:
     breakplanes: tuple
     polytopes: tuple
 
+    @cached_property
+    def by_position(self) -> dict:
+        """The component of each position, looked up by position string.
+
+        Where a position is listed twice (an improper function), the first
+        entry wins.
+        """
+        return dict(reversed(self.polytopes))
+
     def component_at(self, x):
         """The affine component of the polytope holding the point x."""
         pos = sign_position(self.breakplanes, x)
-        for p, comp in self.polytopes:
-            if p == pos:
-                return comp
-        raise ValueError(f"function is not proper: no polytope at position {pos!r}")
+        comp = self.by_position.get(pos)
+        if comp is None:
+            raise ValueError(f"function is not proper: no polytope at position {pos!r}")
+        return comp
 
 
 def sign_position(planes, x) -> str:
@@ -164,13 +173,12 @@ def sum_stage(fs, bias=0) -> PwlFunction:
                 plane_index[h] = len(planes)
                 planes.append(h)
 
-    lookups = [dict(f.polytopes) for f in fs]
     polys = []
     for pos, _sample in _realizable_positions(planes, m):
         comp = [bias] + [Fraction(0)] * m
-        for f, lookup in zip(fs, lookups):
+        for f in fs:
             sub = "".join(pos[plane_index[h]] for h in f.breakplanes)
-            part = lookup.get(sub)
+            part = f.by_position.get(sub)
             if part is None:
                 raise ValueError(
                     f"summand is not proper: no polytope at position {sub!r}"
@@ -195,12 +203,11 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
                 seen.add(h)
                 planes.append(h)
 
-    lookup = dict(f.polytopes)
     n_old = len(f.breakplanes)
     polys = []
     for pos, sample in _realizable_positions(planes, f.m):
         old_pos = pos[:n_old]
-        comp = lookup.get(old_pos)
+        comp = f.by_position.get(old_pos)
         if comp is None:
             raise ValueError(
                 f"function is not proper: no polytope at position {old_pos!r}"
@@ -260,7 +267,7 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation, restriction, properness
+# Evaluation and restriction
 # ---------------------------------------------------------------------------
 
 
@@ -316,62 +323,6 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
             lifted[i - 1] = v
         polys.append((pos, restrict_coeffs(f.component_at(lifted))))
     return PwlFunction(m=m_new, breakplanes=tuple(planes), polytopes=tuple(polys))
-
-
-def _position_constraints(planes, position: str):
-    cons = []
-    for h, c in zip(planes, position):
-        if c == "+":
-            cons.append((h, "gt"))
-        elif c == "-":
-            cons.append((tuple(-a for a in h), "gt"))
-        else:
-            cons.append((h, "eq"))
-    return cons
-
-
-def pwl_proper_check(f: PwlFunction) -> bool:
-    """Exhaustive properness verification.
-
-    Checks position uniqueness and totality, matches the position set
-    against all Fourier–Motzkin-feasible sign vectors (an independent route
-    from the decomposition used during construction), and certifies
-    continuity: components adjacent through one '=' flip must agree on the
-    whole shared piece.
-    """
-    k = len(f.breakplanes)
-    positions = [pos for pos, _ in f.polytopes]
-    if len(set(positions)) != len(positions):
-        return False
-    if any(len(p) != k or any(c not in "+-=" for c in p) for p in positions):
-        return False
-    if any(len(comp) != f.m + 1 for _pos, comp in f.polytopes):
-        return False
-
-    feasible = set()
-    for combo in itertools.product("+-=", repeat=k):
-        pos = "".join(combo)
-        if fm_solve(_position_constraints(f.breakplanes, pos), f.m) is not None:
-            feasible.add(pos)
-    if feasible != set(positions):
-        return False
-
-    by_pos = dict(f.polytopes)
-    for pos, comp in f.polytopes:
-        for idx in range(k):
-            if pos[idx] != "=":
-                continue
-            for side in "+-":
-                other = by_pos.get(pos[:idx] + side + pos[idx + 1 :])
-                if other is None:
-                    continue
-                diff = tuple(a - b for a, b in zip(other, comp))
-                base = _position_constraints(f.breakplanes, pos)
-                if fm_solve(base + [(diff, "gt")], f.m) is not None:
-                    return False
-                if fm_solve(base + [(tuple(-a for a in diff), "gt")], f.m) is not None:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -893,6 +893,9 @@ def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPr
         missing = [v for v in seen_free if v not in free_order]
         if missing:
             raise QueryError(f"free variables not declared: {', '.join(missing)}")
+        repeated = sorted({v for v in free_order if free_order.count(v) > 1})
+        if repeated:
+            raise QueryError(f"free variables declared twice: {', '.join(repeated)}")
         free_vars = tuple(free_order)
     else:
         free_vars = tuple(seen_free)

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from nnquery.network import Network, Neuron, hidden_preactivations
+from nnquery.network import Network, Neuron
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +81,22 @@ def oracle_forward(net: Network, x) -> list:
             z = z + w * a
         outs.append(z)
     return outs
+
+
+def hidden_preactivations(net: Network, x) -> list:
+    """Pre-ReLU values of every hidden neuron, layer by layer."""
+    acts = [Fraction(v) for v in x]
+    pres = []
+    for layer in net.hidden:
+        pre = []
+        for nr in layer:
+            z = nr.bias
+            for w, a in zip(nr.weights, acts):
+                z = z + w * a
+            pre.append(z)
+        pres.append(pre)
+        acts = [z if z > 0 else Fraction(0) for z in pre]
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +170,11 @@ def breakpoints_1d(net: Network, a, b) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Independent linear feasibility (used to cross-check the package's own
-# exact LP/FM machinery — deliberately a different algorithm flavour:
-# equalities become pairs of non-strict inequalities, no substitution
-# phase, and variables are eliminated lowest index first).
+# Independent linear feasibility by Fourier–Motzkin elimination, the one
+# such route in the project (equalities become pairs of non-strict
+# inequalities, variables are eliminated lowest index first).  It
+# cross-checks the package's exact simplex, the sign vectors of its cell
+# decompositions and the properness of its piecewise-linear extraction.
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +183,8 @@ def oracle_feasible(constraints, d: int) -> bool:
     work = []
     for f, rel in constraints:
         f = tuple(Fraction(a) for a in f)
-        assert len(f) == d + 1
+        if len(f) != d + 1:
+            raise ValueError(f"functional of wrong dimension: {f}")
         if rel == "eq":
             work.append((f, False))
             work.append((tuple(-a for a in f), False))
@@ -199,21 +217,64 @@ def oracle_feasible(constraints, d: int) -> bool:
     return True
 
 
+def _sign_constraints(planes, signs):
+    """The system putting each plane on its side: '+' above, '-' below,
+    anything else on the plane."""
+    cons = []
+    for h, s in zip(planes, signs):
+        if s == "+":
+            cons.append((h, "gt"))
+        elif s == "-":
+            cons.append((tuple(-a for a in h), "gt"))
+        else:
+            cons.append((h, "eq"))
+    return cons
+
+
 def oracle_sign_vectors(planes, d: int, signs=("+", "-", "0")) -> set:
     """All realizable sign vectors of an arrangement, by brute force."""
-    out = set()
-    for combo in itertools.product(signs, repeat=len(planes)):
-        cons = []
-        for h, s in zip(planes, combo):
-            if s == "+":
-                cons.append((h, "gt"))
-            elif s == "-":
-                cons.append((tuple(-a for a in h), "gt"))
-            else:
-                cons.append((h, "eq"))
-        if oracle_feasible(cons, d):
-            out.add(combo)
-    return out
+    return {
+        combo
+        for combo in itertools.product(signs, repeat=len(planes))
+        if oracle_feasible(_sign_constraints(planes, combo), d)
+    }
+
+
+def oracle_pwl_proper(f) -> bool:
+    """Exhaustive properness check of a piecewise-linear function.
+
+    Positions must be unique and well formed, and they must be exactly the
+    feasible sign vectors over the breakplanes.  Continuity: components of
+    positions adjacent through one '=' flip must agree on the whole shared
+    piece.
+    """
+    k = len(f.breakplanes)
+    positions = [pos for pos, _ in f.polytopes]
+    if len(set(positions)) != len(positions):
+        return False
+    if any(len(p) != k or any(c not in "+-=" for c in p) for p in positions):
+        return False
+    if any(len(comp) != f.m + 1 for _pos, comp in f.polytopes):
+        return False
+    feasible = {"".join(v) for v in oracle_sign_vectors(f.breakplanes, f.m, "+-=")}
+    if feasible != set(positions):
+        return False
+
+    by_pos = dict(f.polytopes)
+    for pos, comp in f.polytopes:
+        base = _sign_constraints(f.breakplanes, pos)
+        for idx, c in enumerate(pos):
+            if c != "=":
+                continue
+            for side in "+-":
+                other = by_pos.get(pos[:idx] + side + pos[idx + 1 :])
+                if other is None:
+                    continue
+                diff = tuple(a - b for a, b in zip(other, comp))
+                for gap in (diff, tuple(-a for a in diff)):
+                    if oracle_feasible(base + [(gap, "gt")], f.m):
+                        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,13 @@ class TestExitCodes:
         assert r.exit_code == 3
         assert "no counterfactual" in r.stderr
 
+    def test_repeated_free_order_exits_3(self, models):
+        r = invoke(
+            ["query", "--model", models["relu"], "--query-str", "x > 0", "--free-order", "x,x"]
+        )
+        assert r.exit_code == 3, r.output
+        assert "declared twice" in r.stderr
+
     def test_strict_false_exits_1(self, models):
         r = invoke(
             [

@@ -12,12 +12,10 @@ from nnquery.geometry import (
     cd_stats,
     cell_contains,
     cell_interior_points,
-    cell_side,
     compatibility_check,
     locate,
     make_arrangement,
     plane_sign,
-    project_arrangement,
 )
 from nnquery.linprog import affine_eval
 
@@ -77,26 +75,22 @@ class TestArrangement:
 
 
 class TestProjection:
+    # the pool one level down is the projection of the arrangement
     def test_single_slanted_plane_projects_to_nothing(self):
         arr = make_arrangement(2, [(0, -1, 1)])  # x2 = x1
-        assert project_arrangement(arr).hyperplanes == ()
+        assert build_cd(arr).pools[1] == ()
 
     def test_crossing_planes_project_to_crossing_point(self):
         arr = make_arrangement(2, [(0, -1, 1), (0, 1, 1)])  # x2 = ±x1
-        proj = project_arrangement(arr)
-        assert proj.hyperplanes == (F(0, 1),)  # x1 = 0
+        assert build_cd(arr).pools[1] == (F(0, 1),)  # x1 = 0
 
     def test_vertical_plane_descends(self):
         arr = make_arrangement(2, [(-3, 1, 0)])  # x1 = 3
-        assert project_arrangement(arr).hyperplanes == (F(-3, 1),)
+        assert build_cd(arr).pools[1] == (F(-3, 1),)
 
     def test_parallel_planes_no_projection(self):
         arr = make_arrangement(2, [(0, -1, 1), (-1, -1, 1)])  # x2 = x1, x2 = x1 + 1
-        assert project_arrangement(arr).hyperplanes == ()
-
-    def test_r1_cannot_project(self):
-        with pytest.raises(ValueError):
-            project_arrangement(make_arrangement(1, [(0, 1)]))
+        assert build_cd(arr).pools[1] == ()
 
 
 class TestBuildCd:
@@ -173,19 +167,6 @@ class TestBuildCd:
 
 
 class TestCellQueries:
-    def test_cell_side_raw_sign_contract(self):
-        cd = build_cd(make_arrangement(1, [(-2, 1)]))
-        below, on, above = cd.levels[1]
-        assert cell_side(cd, above, (-2, 1)) == "+"
-        assert cell_side(cd, above, (2, -1)) == "-"  # same plane, flipped input
-        assert cell_side(cd, on, (4, -2)) == "0"
-        assert cell_side(cd, below, (-2, 1)) == "-"
-
-    def test_cell_side_requires_pool_membership(self):
-        cd = build_cd(make_arrangement(1, [(-2, 1)]))
-        with pytest.raises(ValueError):
-            cell_side(cd, cd.levels[1][0], (-3, 1))
-
     def test_stack_signs_match_sample_signs(self):
         # the sign read from the stacks equals the sign at the sample for
         # every pool plane at every level, in both orientations, with

@@ -50,3 +50,16 @@ def test_no_unused_import_in_library():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert not found, f"unused imports in the library: {found}"
+
+
+def test_oracles_import_only_model_structures():
+    # the oracles check the package's algorithms, so they may borrow its
+    # model data structures but none of the code under test
+    path = Path(__file__).with_name("oracles.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "nnquery"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nnquery":
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    assert sorted(found) == ["nnquery.network.Network", "nnquery.network.Neuron"], found

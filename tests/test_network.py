@@ -13,13 +13,12 @@ from nnquery.network import (
     build_eval_term,
     build_sawtooth,
     forward,
-    hidden_preactivations,
     load_network,
     network_to_json,
     to_structure,
     useless_neurons,
 )
-from oracles import oracle_forward, random_network, random_point
+from oracles import hidden_preactivations, oracle_forward, random_network, random_point
 
 RELU_NET = json.dumps(
     {

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from nnquery.network import Network, Neuron, forward, hidden_preactivations, load_network
+from nnquery.network import Network, Neuron, forward, load_network
 from nnquery.pwl import (
     PwlFunction,
     init_inputs,
     pwl_eval,
     pwl_from_json,
     pwl_from_network,
-    pwl_proper_check,
     pwl_restrict,
     pwl_to_json,
     relu_stage,
@@ -20,7 +19,7 @@ from nnquery.pwl import (
     sum_stage,
 )
 
-from oracles import random_network, random_point
+from oracles import hidden_preactivations, oracle_pwl_proper, random_network, random_point
 
 F = Fraction
 
@@ -140,7 +139,7 @@ class TestExtraction:
         rng = random.Random(7)
         for _ in range(6):
             net = random_network(rng, rng.randint(1, 2), rng.randint(1, 2), max_width=2)
-            assert pwl_proper_check(pwl_from_network(net))
+            assert oracle_pwl_proper(pwl_from_network(net))
 
 
 class TestEval:
@@ -163,14 +162,14 @@ class TestProperCheck:
     def test_missing_position_fails(self):
         f = pwl_from_network(relu_net())
         broken = PwlFunction(m=1, breakplanes=f.breakplanes, polytopes=f.polytopes[:2])
-        assert pwl_proper_check(broken) is False
+        assert oracle_pwl_proper(broken) is False
 
     def test_duplicate_position_fails(self):
         f = pwl_from_network(relu_net())
         dup = PwlFunction(
             m=1, breakplanes=f.breakplanes, polytopes=f.polytopes + (f.polytopes[0],)
         )
-        assert pwl_proper_check(dup) is False
+        assert oracle_pwl_proper(dup) is False
 
     def test_unrealizable_position_fails(self):
         # two identical planes cannot have opposite signs — a position list
@@ -186,7 +185,7 @@ class TestProperCheck:
             ("++", (F(0), F(0))),
         )
         f = PwlFunction(m=1, breakplanes=planes, polytopes=polys)
-        assert pwl_proper_check(f) is False
+        assert oracle_pwl_proper(f) is False
 
     def test_discontinuity_fails(self):
         planes = ((F(0), F(1)),)
@@ -196,7 +195,7 @@ class TestProperCheck:
             ("+", (F(1), F(1))),  # jumps to 1 across x = 0
         )
         f = PwlFunction(m=1, breakplanes=planes, polytopes=polys)
-        assert pwl_proper_check(f) is False
+        assert oracle_pwl_proper(f) is False
 
     def test_discontinuity_on_section_only(self):
         # continuous on each side but the '=' component disagrees
@@ -207,7 +206,7 @@ class TestProperCheck:
             ("+", (F(0), F(1))),
         )
         f = PwlFunction(m=1, breakplanes=planes, polytopes=polys)
-        assert pwl_proper_check(f) is False
+        assert oracle_pwl_proper(f) is False
 
 
 class TestRestriction:
@@ -238,7 +237,7 @@ class TestRestriction:
         assert len(g.polytopes) == 3  # syntactic substitution would keep ghosts
         for x in (-2, 0, 1, Fraction(7, 3)):
             assert pwl_eval(g, (x,)) == 2 * max(x, 0)
-        assert pwl_proper_check(g)
+        assert oracle_pwl_proper(g)
 
     def test_constant_plane_prunes_sides(self):
         # f(x,y) = ReLU(y): fixing y = 2 leaves the constant function 2
@@ -264,7 +263,7 @@ class TestRestriction:
         g = pwl_restrict(f, {1: -1})
         for y in (-3, Fraction(-1, 2), 0, 4):
             assert pwl_eval(g, (y,)) == max(-1 - 2 * y, 0)
-        assert pwl_proper_check(g)
+        assert oracle_pwl_proper(g)
 
     def test_full_restriction_rejected(self):
         f = pwl_from_network(relu_net())

@@ -158,6 +158,10 @@ class TestNormalize:
         with pytest.raises(QueryError, match="not declared"):
             normalize_ordered_prenex(parse_query("x + y > 0", 1), free_order=["x"])
 
+    def test_free_order_rejects_repeated_names(self):
+        with pytest.raises(QueryError, match="declared twice: x"):
+            normalize_ordered_prenex(parse_query("x > 0", 1), free_order=["x", "x"])
+
     def test_nonlinear_product_rejected(self, relu_net):
         with pytest.raises(QueryError, match="non-linear"):
             parse_query("x * y > 0", 1)
