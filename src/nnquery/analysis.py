@@ -1,13 +1,14 @@
 """Quantitative analyses of piecewise-linear network functions.
 
 Everything here reduces to the exact geometric pipeline.  Integration lifts
-the function's graph into one extra dimension, decomposes the region between
-the graph and zero cylindrically, triangulates the full-dimensional cells and
-sums signed simplex volumes.  A cell is triangulated as the staircase over
-its base cell's triangulation: the region between the cell's affine lower
-and upper mappings over each base simplex splits into one simplex per base
-corner where the two mappings differ, with no search and no degenerate
-candidate.  Shapley values are factorial-weighted differences of box
+the function's graph into one extra dimension with ``pwl.lift_graph``,
+decomposes the region between the graph and zero cylindrically, reads each
+cell's side of the graph and of zero from the stacks, triangulates the
+full-dimensional cells and sums signed simplex volumes.  A cell is
+triangulated as the staircase over its base cell's triangulation: the
+region between the cell's affine lower and upper mappings over each base
+simplex splits into one simplex per base corner where the two mappings
+differ, with no search and no degenerate candidate.  Shapley values are factorial-weighted differences of box
 expectations computed from restrictions and integrals.
 Robustness is a closed first-order sentence handed to the query engine, and
 counterfactuals minimize a linearizable distance over selected-cell closures
@@ -23,11 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import rational
-from .geometry import build_cd, make_arrangement, mapping_value
+from .geometry import build_cd, make_arrangement, mapping_value, plane_sign
 from .linprog import affine_eval, minimize
 from .network import Network
 from .pwl import (
     PwlFunction,
+    graph_sign,
+    lift_graph,
     pwl_eval,
     pwl_from_network,
     pwl_restrict,
@@ -236,34 +239,26 @@ def _all_sector_chain(cd, cell) -> bool:
 def _integrate_cells(f: PwlFunction, box: Box) -> Fraction:
     """General pipeline: decompose the region between graph and zero.
 
-    The arrangement in R^{m+1} holds the function's breakplanes (lifted with
-    zero coefficient on the value axis), one graph hyperplane per polytope
-    component, the box's facet hyperplanes, and the zero hyperplane of the
-    value axis.  Towers over base cells outside the open box are pruned
-    during construction — the facet hyperplanes are part of the arrangement,
-    so each cell lies strictly inside or strictly outside and the sample
-    point decides exactly.  A surviving full-dimensional cell (all-sector
-    chain) lies above or below the graph of the one component whose polytope
-    position matches its breakplane signs; it contributes its triangulated
-    volume positively between zero and a positive graph, negatively between
-    a negative graph and zero, and not at all otherwise.
+    The arrangement in R^{m+1} holds F's graph over the value axis z
+    (``lift_graph``), the box's facet hyperplanes, and the hyperplane
+    z = 0.  Towers over base cells outside the open box are pruned during
+    construction — the facet hyperplanes are part of the arrangement, so
+    each cell lies strictly inside or strictly outside and the sample point
+    decides exactly.  A surviving full-dimensional cell (all-sector chain)
+    adds its triangulated volume times s = ±1 exactly when its side of the
+    graph (``graph_sign``) and the sign of z on it are both s: it lies
+    between zero and a positive graph (s = 1) or a negative graph and zero
+    (s = −1).
     """
     m = f.m
     d = m + 1
-    planes = []
-    for h in f.breakplanes:
-        planes.append(h + (Fraction(0),))
-    for _pos, comp in f.polytopes:
-        planes.append(comp + (Fraction(-1),))
+    args = tuple(range(1, d))
+    planes = lift_graph(f, args, d, d)
     for i, (lo, hi) in enumerate(box.intervals, start=1):
-        unit = [Fraction(0)] * (d + 1)
-        unit[i] = Fraction(1)
-        start = list(unit)
-        start[0] = -lo
-        end = list(unit)
-        end[0] = -hi
-        planes.append(tuple(start))
-        planes.append(tuple(end))
+        for end in (lo, hi):
+            facet = [Fraction(0)] * (d + 1)
+            facet[0], facet[i] = -end, Fraction(1)
+            planes.append(tuple(facet))
     zero_axis = (Fraction(0),) * d + (Fraction(1),)
     planes.append(zero_axis)
     arr = make_arrangement(d, planes)
@@ -275,19 +270,15 @@ def _integrate_cells(f: PwlFunction, box: Box) -> Fraction:
         return True
 
     cd = build_cd(arr, restrict=inside)
+    gap = graph_sign(cd, f, args, d)
+    height = plane_sign(cd, zero_axis)
 
     total = Fraction(0)
     for cell in cd.cells(d):
         if not _all_sector_chain(cd, cell):
             continue
-        x = cell.sample[:m]
-        z = cell.sample[m]
-        graph_gap = affine_eval(f.component_at(x), x) - z
-        if graph_gap > 0 and z > 0:
-            sign = 1
-        elif graph_gap < 0 and z < 0:
-            sign = -1
-        else:
+        sign = height(cell.id)
+        if gap(cell.id) != sign:
             continue
         vol = sum(
             (simplex_volume(s) for s in triangulate_cell(cd, cell)),

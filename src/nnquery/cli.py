@@ -31,22 +31,14 @@ from .analysis import (
 )
 from .core import BOT, format_rational, rational
 from .fosum import (
-    FAnd,
-    FCompare,
-    FEqStd,
-    FExists,
-    FForall,
-    FImplies,
-    FNot,
-    FOr,
-    FRel,
+    Formula,
     ParseError,
     eval_formula,
     eval_weight_term,
     free_variables,
     parse_fosum,
 )
-from .geometry import build_cd, cd_stats
+from .geometry import build_cd, cd_stats, make_arrangement
 from .network import (
     build_sawtooth,
     forward,
@@ -56,26 +48,8 @@ from .network import (
     to_structure,
     useless_neurons,
 )
-from .pwl import pwl_from_network, pwl_to_json
-from .query import (
-    QueryError,
-    build_query_arrangement,
-    evaluate_query,
-    normalize_ordered_prenex,
-    parse_query,
-)
-
-_FORMULA_NODES = (
-    FRel,
-    FEqStd,
-    FCompare,
-    FNot,
-    FAnd,
-    FOr,
-    FImplies,
-    FExists,
-    FForall,
-)
+from .pwl import lift_graph, pwl_from_network, pwl_to_json
+from .query import QueryError, evaluate_query
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +258,7 @@ def fosum_cmd(model, term, term_str, input_, decimal, out):
         _input_error("term/formula must be closed (no free variables)")
     try:
         structure = to_structure(net, vals=vals)
-        if isinstance(ast, _FORMULA_NODES):
+        if isinstance(ast, Formula):
             result = eval_formula(structure, ast, {})
         else:
             result = eval_weight_term(structure, ast, {})
@@ -506,12 +480,9 @@ def cd_stats_cmd(model, decimal, out):
     net = _load_model(model)
     try:
         f = pwl_from_network(net)
-        m = f.m
-        xs = [f"x{j}" for j in range(1, m + 1)]
-        ast = parse_query(f"F({', '.join(xs)}) = z", m)
-        q = normalize_ordered_prenex(ast, free_order=xs + ["z"])
-        cd = build_cd(build_query_arrangement(f, q))
-    except (QueryError, ValueError) as e:
+        d = f.m + 1
+        cd = build_cd(make_arrangement(d, lift_graph(f, range(1, d), d, d)))
+    except ValueError as e:
         _input_error(str(e))
     _emit("cd-stats", cd_stats(cd), started, decimal, out)
 

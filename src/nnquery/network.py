@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from nnquery.core import BOT, Vocabulary, WeightedStructure, format_rational, rational
@@ -286,22 +286,26 @@ def _affine_input_sum(target, m: int):
     )
 
 
-def _layer_value_term(m: int, level: int, var: str, exclude_var: str = None):
-    """Weight term for the ReLU value of neuron `var` in hidden layer `level`.
+def _preactivation_term(m: int, level: int, target, exclude_var: str = None):
+    """Weight term for the pre-activation of `target` in layer `level`.
 
     Level 1 reads the input constants directly; deeper levels sum over
-    predecessors x with E(x, var), recursively inlining the previous layer's
-    term.  With `exclude_var` set, every such summation guard additionally
-    requires x ≠ exclude_var, which ablates that neuron from the computation.
+    predecessors x with E(x, target), recursively inlining the ReLU of the
+    previous layer's term.  With `exclude_var` set, every such summation
+    guard additionally requires x ≠ exclude_var, which ablates that neuron
+    from the computation.
     """
     if level == 1:
-        return t_relu(_affine_input_sum(SVar(var), m))
+        return _affine_input_sum(target, m)
     x = f"u{level - 1}"
-    guard = FRel("E", (SVar(x), SVar(var)))
+    guard = FRel("E", (SVar(x), target))
     if exclude_var is not None:
         guard = FAnd(guard, FNot(FEqStd(SVar(x), SVar(exclude_var))))
-    body = t_mul(TWeight("w", (SVar(x), SVar(var))), _layer_value_term(m, level - 1, x, exclude_var))
-    return t_relu(t_add(TWeight("b", (SVar(var),)), TSum((x,), guard, body)))
+    body = t_mul(
+        TWeight("w", (SVar(x), target)),
+        t_relu(_preactivation_term(m, level - 1, SVar(x), exclude_var)),
+    )
+    return t_add(TWeight("b", (target,)), TSum((x,), guard, body))
 
 
 def build_eval_term(m: int, depth: int, j: int = 1, exclude_var: str = None):
@@ -310,41 +314,17 @@ def build_eval_term(m: int, depth: int, j: int = 1, exclude_var: str = None):
     given depth.  With `exclude_var`, all summations skip that neuron."""
     if m < 1 or depth < 1 or j < 1:
         raise ValueError("need m ≥ 1, depth ≥ 1, j ≥ 1")
-    out = SConst(f"out{j}")
-    if depth == 1:
-        return _affine_input_sum(out, m)
-    x = f"u{depth - 1}"
-    guard = FRel("E", (SVar(x), out))
-    if exclude_var is not None:
-        guard = FAnd(guard, FNot(FEqStd(SVar(x), SVar(exclude_var))))
-    body = t_mul(
-        TWeight("w", (SVar(x), out)), _layer_value_term(m, depth - 1, x, exclude_var)
+    return _preactivation_term(m, depth, SConst(f"out{j}"), exclude_var)
+
+
+def _silenced(net: Network, z: NeuronId) -> Network:
+    """The network with hidden neuron z's outgoing weights set to 0."""
+    layers = [*net.hidden, net.outputs]
+    layers[z.layer] = tuple(
+        replace(nr, weights=(*nr.weights[: z.index - 1], Fraction(0), *nr.weights[z.index :]))
+        for nr in layers[z.layer]
     )
-    return t_add(TWeight("b", (out,)), TSum((x,), guard, body))
-
-
-def _ablated_forward(net: Network, x, skip: NeuronId) -> list:
-    acts = [rational(v) for v in x]
-    for k, layer in enumerate(net.hidden, start=1):
-        pre = []
-        for i, nr in enumerate(layer):
-            total = nr.bias
-            for p, (w, a) in enumerate(zip(nr.weights, acts)):
-                if k >= 2 and skip.role == "hidden" and skip.layer == k - 1 and skip.index == p + 1:
-                    continue
-                total += w * a
-            pre.append(total)
-        acts = [max(Fraction(0), p) for p in pre]
-    outs = []
-    last = len(net.hidden)
-    for nr in net.outputs:
-        total = nr.bias
-        for p, (w, a) in enumerate(zip(nr.weights, acts)):
-            if skip.role == "hidden" and skip.layer == last and skip.index == p + 1:
-                continue
-            total += w * a
-        outs.append(total)
-    return outs
+    return Network(inputs=net.inputs, hidden=tuple(layers[:-1]), outputs=layers[-1])
 
 
 def useless_neurons(net: Network, vals, eps) -> set:
@@ -371,7 +351,7 @@ def useless_neurons(net: Network, vals, eps) -> set:
         for i in range(len(layer))
     ]
     for z in hidden_ids:
-        ablated = _ablated_forward(net, vals, z)
+        ablated = forward(_silenced(net, z), vals)
         if all(abs(a - b) < eps for a, b in zip(ablated, base)):
             direct.add(z)
 

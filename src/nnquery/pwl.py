@@ -5,19 +5,23 @@ A piecewise-linear function over R^m is stored as a set of *breakplanes*
 sign position: a position is a string over {'+','-','='} with one character
 per breakplane, and its polytope is the set of points realizing exactly
 those signs.  A representation is *proper* when positions are unique and
-total, exactly the feasible sign vectors appear, and components of
-positions adjacent through an '=' flip agree on the shared boundary —
-together these make the function well-defined and continuous.
+total, exactly the feasible sign vectors appear, and the components of a
+piece and of every piece whose closure holds it agree on it — together
+these make the function well-defined and continuous.
 
 Extraction from a network proceeds stage by stage, mirroring the layers:
 coordinate functions are combined by scaling, summation (plane union) and
 exact ReLU application (each component's zero-set joins the breakplanes).
-Realizable positions are enumerated from the cell decomposition of the
-breakplane arrangement: every cell's sample realizes one position, and
-every realizable position is hit by some cell.  The properness check lives
-with the test oracles, where feasibility goes through Fourier–Motzkin
-elimination instead, so construction and verification follow independent
-routes.
+Each refining stage hands its planes to one step that enumerates the
+realizable positions from the cell decomposition of their arrangement:
+every cell's position is read from the stacks, and every realizable
+position is hit by some cell.  The properness check lives with the test
+oracles, where feasibility goes through Fourier–Motzkin elimination
+instead, so construction and verification follow independent routes.
+
+Queries, integration and the decomposition statistics place F in R^d
+through ``lift_graph`` and read each cell's side of F's graph back through
+``graph_sign``; no other module turns F into planes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from fractions import Fraction
 from .core import format_rational, rational
 from .geometry import build_cd, canonicalize, make_arrangement, plane_sign
 from .linprog import affine_eval
-from .network import Network, NeuronId
+from .network import Network, NeuronId, parse_neuron_id
 
 __all__ = [
     "PwlFunction",
@@ -43,6 +47,8 @@ __all__ = [
     "sign_position",
     "cell_position",
     "pwl_restrict",
+    "lift_graph",
+    "graph_sign",
     "pwl_to_json",
     "pwl_from_json",
 ]
@@ -52,7 +58,8 @@ __all__ = [
 class PwlFunction:
     """Piecewise-linear function: breakplanes + one component per position.
 
-    ``breakplanes`` is an ordered tuple of canonical hyperplanes in R^m;
+    ``breakplanes`` is an ordered tuple of distinct canonical hyperplanes
+    in R^m (the refining stages index positions by them);
     ``polytopes`` is an ordered tuple of (position, component) pairs where
     position is a string over '+-=' (one character per breakplane) and
     component is an affine coefficient tuple (a_0..a_m).
@@ -99,27 +106,25 @@ def _zero_component(m: int) -> tuple:
     return (Fraction(0),) * (m + 1)
 
 
-def _realizable_positions(planes, m: int):
-    """All realizable sign positions over the plane list, with witnesses.
+def _refine(m: int, planes, component) -> PwlFunction:
+    """The function over the arrangement of ``planes``, one polytope per
+    realizable position.
 
-    Enumerated from the full-level cells of the decomposition: each cell
-    realizes its position, read from the stacks, and the cells partition
-    R^m, so every realizable position is reached.  Returns (position,
-    sample) pairs, first witness per position, in deterministic cell order.
+    ``make_arrangement`` canonicalizes the planes and drops duplicates in
+    first-appearance order; those are the breakplanes.  Positions are read
+    from the stacks of the full-level cells, which partition R^m, so every
+    realizable position is reached; ``component(position, sample)`` gives
+    the component of each position at the sample of its first cell.
     """
     arr = make_arrangement(m, planes)
-    if arr.hyperplanes != tuple(planes):
-        raise RuntimeError("breakplanes must arrive canonical and deduplicated")
     cd = build_cd(arr)
-    signs = [plane_sign(cd, h) for h in planes]
-    out = []
-    seen = set()
+    signs = [plane_sign(cd, h) for h in arr.hyperplanes]
+    polys = {}
     for cell in cd.levels[m]:
         pos = cell_position(signs, cell.id)
-        if pos not in seen:
-            seen.add(pos)
-            out.append((pos, cell.sample))
-    return out
+        if pos not in polys:
+            polys[pos] = component(pos, cell.sample)
+    return PwlFunction(m=m, breakplanes=arr.hyperplanes, polytopes=tuple(polys.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +158,8 @@ def scale_stage(f: PwlFunction, w) -> PwlFunction:
 def sum_stage(fs, bias=0) -> PwlFunction:
     """Pointwise sum of PWL functions plus a constant bias.
 
-    Breakplanes are the deduplicated union; each realizable position over
-    the union implies one position of every summand (restrict to its
+    Breakplanes are the union of the summands'; each realizable position
+    over the union implies one position of every summand (restrict to its
     planes), whose components add up.
     """
     fs = list(fs)
@@ -164,20 +169,15 @@ def sum_stage(fs, bias=0) -> PwlFunction:
     if any(f.m != m for f in fs):
         raise ValueError("summands must share the input dimension")
     bias = rational(bias)
+    planes = [h for f in fs for h in f.breakplanes]
+    # breakplanes are canonical, so this is make_arrangement's order
+    index = {h: i for i, h in enumerate(dict.fromkeys(planes))}
+    summands = [(f, [index[h] for h in f.breakplanes]) for f in fs]
 
-    planes = []
-    plane_index = {}
-    for f in fs:
-        for h in f.breakplanes:
-            if h not in plane_index:
-                plane_index[h] = len(planes)
-                planes.append(h)
-
-    polys = []
-    for pos, _sample in _realizable_positions(planes, m):
+    def component(pos, _sample):
         comp = [bias] + [Fraction(0)] * m
-        for f in fs:
-            sub = "".join(pos[plane_index[h]] for h in f.breakplanes)
+        for f, at in summands:
+            sub = "".join(pos[i] for i in at)
             part = f.by_position.get(sub)
             if part is None:
                 raise ValueError(
@@ -185,8 +185,9 @@ def sum_stage(fs, bias=0) -> PwlFunction:
                 )
             for j, a in enumerate(part):
                 comp[j] += a
-        polys.append((pos, tuple(comp)))
-    return PwlFunction(m=m, breakplanes=tuple(planes), polytopes=tuple(polys))
+        return tuple(comp)
+
+    return _refine(m, planes, component)
 
 
 def relu_stage(f: PwlFunction) -> PwlFunction:
@@ -194,27 +195,18 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
     breakplanes, and components are kept where positive, zeroed elsewhere.
     A constant component contributes no plane (its zero-set is not a
     hyperplane); it is kept or zeroed by its sign alone."""
-    planes = list(f.breakplanes)
-    seen = set(planes)
-    for _pos, comp in f.polytopes:
-        if any(a != 0 for a in comp[1:]):
-            h = canonicalize(comp)
-            if h not in seen:
-                seen.add(h)
-                planes.append(h)
-
     n_old = len(f.breakplanes)
-    polys = []
-    for pos, sample in _realizable_positions(planes, f.m):
-        old_pos = pos[:n_old]
-        comp = f.by_position.get(old_pos)
+    zero_sets = [comp for _pos, comp in f.polytopes if any(a != 0 for a in comp[1:])]
+
+    def component(pos, sample):
+        comp = f.by_position.get(pos[:n_old])
         if comp is None:
             raise ValueError(
-                f"function is not proper: no polytope at position {old_pos!r}"
+                f"function is not proper: no polytope at position {pos[:n_old]!r}"
             )
-        keep = affine_eval(comp, sample) > 0
-        polys.append((pos, comp if keep else _zero_component(f.m)))
-    return PwlFunction(m=f.m, breakplanes=tuple(planes), polytopes=tuple(polys))
+        return comp if affine_eval(comp, sample) > 0 else _zero_component(f.m)
+
+    return _refine(f.m, [*f.breakplanes, *zero_sets], component)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +221,6 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
     default is the first output.  Hidden targets yield the post-activation
     value; outputs are affine, so no final ReLU is applied.
     """
-    from .network import parse_neuron_id
-
     if target is None:
         target = NeuronId("output", 1, net.depth)
     elif isinstance(target, str):
@@ -303,26 +293,73 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
         const = c[0] + sum(c[i] * fixed[i] for i in fixed)
         return (const,) + tuple(c[i] for i in remaining)
 
-    planes = []
-    seen = set()
-    for h in f.breakplanes:
-        r = restrict_coeffs(h)
-        if all(a == 0 for a in r[1:]):
-            continue  # constant sign over the slice: handled via lifting
-        ch = canonicalize(r)
-        if ch not in seen:
-            seen.add(ch)
-            planes.append(ch)
+    # a plane constant over the slice has one sign there; the lifted
+    # witness settles it
+    restricted = (restrict_coeffs(h) for h in f.breakplanes)
+    planes = [r for r in restricted if any(a != 0 for a in r[1:])]
 
-    polys = []
-    for pos, sample in _realizable_positions(planes, m_new):
+    def component(_pos, sample):
         lifted = [None] * f.m
         for i, v in fixed.items():
             lifted[i - 1] = v
         for i, v in zip(remaining, sample):
             lifted[i - 1] = v
-        polys.append((pos, restrict_coeffs(f.component_at(lifted))))
-    return PwlFunction(m=m_new, breakplanes=tuple(planes), polytopes=tuple(polys))
+        return restrict_coeffs(f.component_at(lifted))
+
+    return _refine(m_new, planes, component)
+
+
+# ---------------------------------------------------------------------------
+# Placing F in a decomposition and reading it back
+# ---------------------------------------------------------------------------
+
+
+def lift_graph(f: PwlFunction, args, result: int, d: int) -> list:
+    """F's planes in R^d for F(x_args) = x_result.
+
+    ``args`` are the 1-based indices of F's arguments, in F's argument
+    order, and ``result`` is a further index.  Returns the breakplanes
+    placed at the arguments, then one graph plane per distinct component,
+    in first-appearance order: a_0 + Σ a_i·x_{args_i} − x_result.
+    """
+
+    def at_args(coeffs):
+        vec = [coeffs[0]] + [Fraction(0)] * d
+        for g, a in zip(args, coeffs[1:], strict=True):
+            vec[g] = a
+        return vec
+
+    planes = [tuple(at_args(h)) for h in f.breakplanes]
+    for comp in dict.fromkeys(comp for _pos, comp in f.polytopes):
+        vec = at_args(comp)
+        vec[result] = Fraction(-1)
+        planes.append(tuple(vec))
+    return planes
+
+
+def graph_sign(cd, f: PwlFunction, args, result: int):
+    """F's side of each full-level cell of a decomposition built over
+    ``lift_graph(f, args, result, cd.d)``.
+
+    Returns a function from a cell id to −1, 0 or 1: the sign, on that
+    cell, of the component at the cell's position minus x_result.  Both
+    the position and the sign are read from the stacks.
+    """
+    planes = lift_graph(f, args, result, cd.d)
+    k = len(f.breakplanes)
+    signs = [plane_sign(cd, h) for h in planes[:k]]
+    comps = dict.fromkeys(comp for _pos, comp in f.polytopes)
+    on_graph = {comp: plane_sign(cd, g) for comp, g in zip(comps, planes[k:])}
+    by_position = {pos: on_graph[comp] for pos, comp in f.by_position.items()}
+
+    def sign(cid):
+        pos = cell_position(signs, cid)
+        on = by_position.get(pos)
+        if on is None:
+            raise ValueError(f"function is not proper: no polytope at position {pos!r}")
+        return on(cid)
+
+    return sign
 
 
 # ---------------------------------------------------------------------------

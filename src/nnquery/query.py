@@ -10,13 +10,13 @@ Evaluation is exact and geometric.  A query is normalized into an *ordered
 prenex* form — free variables first, then the quantified variables in
 prefix order, every f-atom of the shape F(x_{g1},…,x_{gm}) = x_j over
 pairwise-distinct variables in any index order, every other atom a strict
-linear constraint.  The network's piecewise-linear map contributes an
-arrangement only where the matrix applies F: for each distinct f-atom,
-every breakplane is instantiated at its arguments and every component
-graph at its arguments and result, and the constraint planes join in.  On
-the resulting cell decomposition every cell is homogeneous for every atom,
-so the matrix, reading each atom's sign from the stacks, selects a set of
-full-level cells; quantifiers are then
+linear constraint.  The network's piecewise-linear map contributes planes
+only where the matrix applies F: for each distinct f-atom, ``pwl`` places
+F's breakplanes at its arguments and F's component graphs at its arguments
+and result, and the constraint planes join in.  On the resulting cell
+decomposition every cell is homogeneous for every atom, so the matrix,
+reading each atom's sign from the stacks (an f-atom's through ``pwl``),
+selects a set of full-level cells; quantifiers are then
 eliminated from the inside out — ∃ projects cells to their bases, ∀ runs
 the complement–project–complement dual.  A closed query ends at the origin
 cell (true) or the empty set (false); an open query returns the satisfying
@@ -32,7 +32,7 @@ from fractions import Fraction
 from .core import rational
 from .geometry import Arrangement, build_cd, make_arrangement, plane_sign
 from .network import Network
-from .pwl import PwlFunction, cell_position, pwl_from_network
+from .pwl import PwlFunction, graph_sign, lift_graph, pwl_from_network
 
 __all__ = [
     "QueryError",
@@ -387,7 +387,7 @@ class _QueryParser:
             return _e_neg(self.parse_factor())
         return self.parse_primary()
 
-    def _parse_args(self, close=")"):
+    def _parse_args(self):
         args = [self.parse_expr()]
         while self.peek()[:2] == ("op", ","):
             self.take()
@@ -937,32 +937,10 @@ def _matrix_nodes(node):
             yield from _matrix_nodes(item)
 
 
-def _instantiate(f, atom: MFAtom, d: int):
-    """The f-atom's planes in R^d: F's breakplanes at the atom's arguments,
-    and {component: its graph at the arguments and the result} for the
-    distinct components."""
-
-    def at_args(coeffs):
-        vec = [coeffs[0]] + [Fraction(0)] * d
-        for g, a in zip(atom.args, coeffs[1:], strict=True):
-            vec[g] = a
-        return vec
-
-    breaks = [tuple(at_args(h)) for h in f.breakplanes]
-    graphs = {}
-    for _pos, comp in f.polytopes:
-        if comp not in graphs:
-            vec = at_args(comp)
-            vec[atom.result] = Fraction(-1)
-            graphs[comp] = tuple(vec)
-    return breaks, graphs
-
-
 def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
-    """A_f ∪ A_ψ in R^d: for each distinct f-atom F(x_g⃗) = x_j of the
-    matrix, the PWL function's breakplanes at x_g⃗ and its distinct
-    component graphs at (x_g⃗, x_j), plus the constraint planes of the
-    linear atoms."""
+    """A_f ∪ A_ψ in R^d: the constraint planes of the linear atoms, plus,
+    for each distinct f-atom F(x_g⃗) = x_j of the matrix, the PWL
+    function's ``lift_graph`` at (x_g⃗, x_j)."""
     d = len(q.var_names)
     if d < 1:
         raise ValueError("arrangement needs at least one variable")
@@ -972,35 +950,16 @@ def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
     if fatoms and f is None:
         raise ValueError("query contains F but no function was supplied")
     for atom in fatoms:
-        breaks, graphs = _instantiate(f, atom, d)
-        planes += breaks
-        planes += graphs.values()
+        planes += lift_graph(f, atom.args, atom.result, d)
     return make_arrangement(d, planes)
-
-
-def _fatom_predicate(cd, f, atom: MFAtom):
-    breaks, graphs = _instantiate(f, atom, cd.d)
-    signs = [plane_sign(cd, h) for h in breaks]
-    graph_sign = {comp: plane_sign(cd, g) for comp, g in graphs.items()}
-    on_graph = {pos: graph_sign[comp] for pos, comp in f.polytopes}
-
-    def holds(cid):
-        pos = cell_position(signs, cid)
-        sign = on_graph.get(pos)
-        if sign is None:
-            raise ValueError(f"function is not proper: no polytope at position {pos!r}")
-        return sign(cid) == 0
-
-    return holds
 
 
 def _predicate(cd, f, matrix):
     """The matrix lowered once into a predicate over full-level cell ids.
 
     Every atom's sign on a cell is read from the decomposition's stacks: a
-    linear atom holds where its plane is positive, an f-atom where the
-    graph of the component at the cell's position over the instantiated
-    breakplanes has sign 0.
+    linear atom holds where its plane is positive, an f-atom where
+    ``graph_sign`` reads 0, that is, where the cell lies on F's graph.
     """
     if isinstance(matrix, MBool):
         return lambda cid: matrix.value
@@ -1010,7 +969,8 @@ def _predicate(cd, f, matrix):
         sign = plane_sign(cd, matrix.coeffs)
         return lambda cid: sign(cid) > 0
     if isinstance(matrix, MFAtom):
-        return _fatom_predicate(cd, f, matrix)
+        sign = graph_sign(cd, f, matrix.args, matrix.result)
+        return lambda cid: sign(cid) == 0
     if isinstance(matrix, MNot):
         body = _predicate(cd, f, matrix.body)
         return lambda cid: not body(cid)

@@ -244,9 +244,9 @@ def oracle_pwl_proper(f) -> bool:
     """Exhaustive properness check of a piecewise-linear function.
 
     Positions must be unique and well formed, and they must be exactly the
-    feasible sign vectors over the breakplanes.  Continuity: components of
-    positions adjacent through one '=' flip must agree on the whole shared
-    piece.
+    feasible sign vectors over the breakplanes.  Continuity: a piece p lies
+    in the closure of a piece q exactly when p[i] ∈ {q[i], '='} for every
+    i, and then the two components must agree on the whole of p.
     """
     k = len(f.breakplanes)
     positions = [pos for pos, _ in f.polytopes]
@@ -260,20 +260,15 @@ def oracle_pwl_proper(f) -> bool:
     if feasible != set(positions):
         return False
 
-    by_pos = dict(f.polytopes)
     for pos, comp in f.polytopes:
         base = _sign_constraints(f.breakplanes, pos)
-        for idx, c in enumerate(pos):
-            if c != "=":
+        for other_pos, other in f.polytopes:
+            if other == comp or any(a not in (b, "=") for a, b in zip(pos, other_pos)):
                 continue
-            for side in "+-":
-                other = by_pos.get(pos[:idx] + side + pos[idx + 1 :])
-                if other is None:
-                    continue
-                diff = tuple(a - b for a, b in zip(other, comp))
-                for gap in (diff, tuple(-a for a in diff)):
-                    if oracle_feasible(base + [(gap, "gt")], f.m):
-                        return False
+            diff = tuple(a - b for a, b in zip(other, comp))
+            for gap in (diff, tuple(-a for a in diff)):
+                if oracle_feasible(base + [(gap, "gt")], f.m):
+                    return False
     return True
 
 

@@ -63,3 +63,50 @@ def test_oracles_import_only_model_structures():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nnquery":
             found += [f"{node.module}.{a.name}" for a in node.names]
     assert sorted(found) == ["nnquery.network.Network", "nnquery.network.Neuron"], found
+
+
+def _functions(tree):
+    # named functions only: a lambda holds no statements, and its
+    # signature is fixed by its consumer
+    return [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_no_import_inside_a_function_in_library():
+    # imports sit at module level, where the module's dependencies are
+    # visible at a glance and an import cycle fails at import time
+    found = []
+    for path, tree in _modules():
+        for func in _functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"import inside a function in the library: {found}"
+
+
+def test_no_unused_parameter_in_library():
+    # a parameter that the function never reads is dead weight.  Exempt
+    # are the slots a caller's protocol fixes: a method's receiver (self,
+    # cls), and names with a leading underscore, which mark a callback
+    # argument that this function does not need
+    found = []
+    for path, tree in _modules():
+        for func in _functions(tree):
+            a = func.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                node.id
+                for stmt in func.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+            }
+            found += [
+                f"{path.name}:{func.lineno} {func.name}({p.arg})"
+                for p in params
+                if p is not None
+                and p.arg not in read
+                and not p.arg.startswith("_")
+                and p.arg not in ("self", "cls")
+            ]
+    assert not found, f"unused parameters in the library: {found}"

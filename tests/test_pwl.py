@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from nnquery.geometry import build_cd, make_arrangement
 from nnquery.network import Network, Neuron, forward, load_network
 from nnquery.pwl import (
     PwlFunction,
+    graph_sign,
     init_inputs,
+    lift_graph,
     pwl_eval,
     pwl_from_json,
     pwl_from_network,
@@ -207,6 +210,51 @@ class TestProperCheck:
         )
         f = PwlFunction(m=1, breakplanes=planes, polytopes=polys)
         assert oracle_pwl_proper(f) is False
+
+    def test_discontinuity_at_a_vertex_with_no_one_flip_neighbour(self):
+        # x1, x2 and x1 + x2 meet only at the origin: every position one '='
+        # flip away from '===' is infeasible, so the jump is seen only by
+        # comparing '===' with the pieces whose closure holds it
+        net = Network(
+            inputs=2,
+            hidden=[
+                [
+                    Neuron(F(0), (F(1), F(0))),
+                    Neuron(F(0), (F(0), F(1))),
+                    Neuron(F(0), (F(1), F(1))),
+                ]
+            ],
+            outputs=[Neuron(F(0), (F(1), F(1), F(1)))],
+        )
+        f = pwl_from_network(net)
+        assert oracle_pwl_proper(f)
+        polys = tuple(
+            (pos, (comp[0] + F(1, 3),) + comp[1:] if pos == "===" else comp)
+            for pos, comp in f.polytopes
+        )
+        shifted = PwlFunction(m=2, breakplanes=f.breakplanes, polytopes=polys)
+        assert pwl_eval(shifted, (0, 0)) == F(1, 3)
+        assert oracle_pwl_proper(shifted) is False
+
+
+class TestGraphSign:
+    # F's argument indices, result index, dimension and the depths of the
+    # random nets: F(x1) = x2, F(x2) = x1 and F(x1, x3) = x2 (a depth-3
+    # 2-input net can lift to millions of cells in R^3)
+    ATOMS = (((1,), 2, 2, (2, 3)), ((2,), 1, 2, (2, 3)), ((1, 3), 2, 3, (2, 2)))
+
+    def test_stack_read_sign_matches_arithmetic(self):
+        rng = random.Random(20261018)
+        for args, result, d, depths in self.ATOMS:
+            for _ in range(6):
+                net = random_network(rng, len(args), rng.randint(*depths), max_width=3)
+                f = pwl_from_network(net)
+                cd = build_cd(make_arrangement(d, lift_graph(f, args, result, d)))
+                sign = graph_sign(cd, f, args, result)
+                for cell in cd.levels[d]:
+                    x = cell.sample
+                    gap = pwl_eval(f, [x[g - 1] for g in args]) - x[result - 1]
+                    assert sign(cell.id) == (gap > 0) - (gap < 0), (args, result, x)
 
 
 class TestRestriction:
