@@ -1,10 +1,11 @@
 """Exact rational arithmetic with an undefined element, and weighted structures.
 
-Everything downstream of this module computes over the lifted rationals:
-ordinary `fractions.Fraction` values plus a single distinguished element ⊥
-("bottom") that represents an undefined result, e.g. division by zero or a
-weight looked up where none is meaningful.  ⊥ absorbs through every arithmetic
-operation and sits strictly below every rational in the order.
+Weight terms of the logic denote lifted rationals: ordinary
+`fractions.Fraction` values plus a single distinguished element ⊥ ("bottom")
+that represents an undefined result, e.g. division by zero or a weight looked
+up where none is meaningful.  ⊥ absorbs through every arithmetic operation
+(the evaluator in `fosum` applies this) and sits strictly below every
+rational in the order (`lifted_compare`).
 
 Weighted structures are finite first-order structures whose vocabulary may,
 besides relations and constants, contain weight function symbols: a weight
@@ -15,10 +16,9 @@ logic evaluator runs over.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 class Bottom:
@@ -74,36 +74,6 @@ def ladd(a: LiftedValue, b: LiftedValue) -> LiftedValue:
     if a is BOT or b is BOT:
         return BOT
     return a + b
-
-
-def lmul(a: LiftedValue, b: LiftedValue) -> LiftedValue:
-    if a is BOT or b is BOT:
-        return BOT
-    return a * b
-
-
-def ldiv(a: LiftedValue, b: LiftedValue) -> LiftedValue:
-    if a is BOT or b is BOT or b == 0:
-        return BOT
-    return a / b
-
-
-def lifted_arith(op: str, a: LiftedValue, b: LiftedValue) -> LiftedValue:
-    """Apply a lifted arithmetic operation.
-
-    op is one of 'add', 'scalar-mul', 'mul', 'div'.  ⊥ in either argument
-    gives ⊥; division by zero gives ⊥; otherwise exact rational arithmetic.
-    ('scalar-mul' is numerically identical to 'mul'; it exists because the
-    term language distinguishes multiplication by a rational literal from
-    multiplication of two sub-terms.)
-    """
-    if op == "add":
-        return ladd(a, b)
-    if op in ("mul", "scalar-mul"):
-        return lmul(a, b)
-    if op == "div":
-        return ldiv(a, b)
-    raise ValueError(f"unknown lifted operation {op!r}")
 
 
 def lifted_compare(a: LiftedValue, b: LiftedValue) -> str:
@@ -196,76 +166,3 @@ class WeightedStructure:
         if tup in m:
             return m[tup]
         return self.weight_defaults[name]
-
-
-def _fresh_marker_names(taken: set) -> tuple:
-    left, right = "left", "right"
-    while left in taken or right in taken:
-        left, right = "_" + left, "_" + right
-    return left, right
-
-
-def disjoint_union(a: WeightedStructure, b: WeightedStructure) -> WeightedStructure:
-    """Disjoint union of two weighted structures over disjoint vocabularies.
-
-    Elements are tagged ('L', e) / ('R', e); two fresh unary marker relations
-    are added that hold exactly on the respective sides.  A weight symbol of
-    one side yields ⊥ on any tuple touching the other side; same-side tuples
-    keep their original values (including the original default).
-    """
-    clash = a.vocabulary.all_names() & b.vocabulary.all_names()
-    if clash:
-        raise ValueError(f"vocabulary symbol clash in disjoint union: {sorted(clash)}")
-
-    mark_a, mark_b = _fresh_marker_names(a.vocabulary.all_names() | b.vocabulary.all_names())
-    tag_a = lambda e: ("L", e)
-    tag_b = lambda e: ("R", e)
-    domain = tuple(tag_a(e) for e in a.domain) + tuple(tag_b(e) for e in b.domain)
-
-    relations = {
-        **{n: {tuple(map(tag_a, t)) for t in a.relations.get(n, ())} for n in a.vocabulary.relations},
-        **{n: {tuple(map(tag_b, t)) for t in b.relations.get(n, ())} for n in b.vocabulary.relations},
-        mark_a: {(tag_a(e),) for e in a.domain},
-        mark_b: {(tag_b(e),) for e in b.domain},
-    }
-    constants = {
-        **{n: tag_a(a.constants[n]) for n in a.vocabulary.constants},
-        **{n: tag_b(b.constants[n]) for n in b.vocabulary.constants},
-    }
-
-    # Materialize same-side tuples whose original default was not ⊥, so that
-    # a single per-symbol default of ⊥ makes every cross-side tuple undefined
-    # while same-side lookups agree with the original structure.
-    def side_weights(src: WeightedStructure, tag) -> dict:
-        out = {}
-        for name, arity in src.vocabulary.weights.items():
-            m = {}
-            if src.weight_defaults.get(name, BOT) is not BOT and arity > 0:
-                for tup in _tuples(src.domain, arity):
-                    m[tuple(map(tag, tup))] = src.weight(name, tup)
-            else:
-                for tup, v in src.weights.get(name, {}).items():
-                    m[tuple(map(tag, tup))] = v
-                if arity == 0:
-                    m[()] = src.weight(name, ())
-            out[name] = m
-        return out
-
-    weights = {**side_weights(a, tag_a), **side_weights(b, tag_b)}
-    vocab = Vocabulary(
-        relations={**a.vocabulary.relations, **b.vocabulary.relations, mark_a: 1, mark_b: 1},
-        constants=a.vocabulary.constants + b.vocabulary.constants,
-        weights={**a.vocabulary.weights, **b.vocabulary.weights},
-    )
-    return WeightedStructure(
-        vocabulary=vocab,
-        domain=domain,
-        relations=relations,
-        constants=constants,
-        weights=weights,
-        weight_defaults={n: BOT for n in vocab.weights},
-    )
-
-
-def _tuples(domain: Iterable, arity: int):
-    return itertools.product(tuple(domain), repeat=arity)

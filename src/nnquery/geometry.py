@@ -12,6 +12,9 @@ and then stacking cells upward.  Projection guarantees delineability: over
 any base cell, the mappings induced by the level's planes never cross, so
 ordering them at the base cell's sample point orders them over the whole
 cell, and a cell's place in that order fixes its sign on every plane.
+Checks that a decomposition is adapted to its arrangement (membership,
+sign constancy inside cells, one cell per level for every point) live with
+the test oracles, which compute section heights from the cells alone.
 
 All coordinates are exact rationals.  Hyperplanes are stored canonically:
 integer coefficients with gcd 1 and a positive leading linear coefficient,
@@ -22,14 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
 
 from .core import rational
-from .linprog import affine_eval
 
 # ---------------------------------------------------------------------------
 # Hyperplanes
@@ -161,12 +162,6 @@ class CellDecomposition:
     def cells(self, level: int):
         return self.levels[level]
 
-    def children(self, cell: Cell):
-        prefix = cell.id
-        return tuple(
-            c for c in self.levels[cell.level + 1] if c.id[:-1] == prefix
-        )
-
 
 def _stack_elements(planes_nonvertical, base_sample):
     """The alternating sector/section stack over one base cell.
@@ -284,154 +279,3 @@ def plane_sign(cd: CellDecomposition, coeffs):
         return up if k > s else -up if k < s else 0
 
     return sign
-
-
-def cell_contains(cd: CellDecomposition, cell: Cell, point) -> bool:
-    """Exact membership of a point (length == cell.level) in the cell."""
-    if cell.level == 0:
-        return True
-    base = cd.index[cell.base]
-    y, t = point[:-1], point[-1]
-    if not cell_contains(cd, base, y):
-        return False
-    if cell.kind == "section":
-        return t == mapping_value(cell.lower, y)
-    if cell.lower is not None and not t > mapping_value(cell.lower, y):
-        return False
-    if cell.upper is not None and not t < mapping_value(cell.upper, y):
-        return False
-    return True
-
-
-def locate(cd: CellDecomposition, point) -> Cell:
-    """The unique cell of level len(point) containing the point."""
-    point = tuple(rational(v) for v in point)
-    if len(point) > cd.d:
-        raise ValueError("point has more coordinates than the decomposition")
-    cell = cd.levels[0][0]
-    for i in range(1, len(point) + 1):
-        y, t = point[: i - 1], point[i - 1]
-        found = None
-        for child in cd.children(cell):
-            if child.kind == "section":
-                if t == mapping_value(child.lower, y):
-                    found = child
-                    break
-            else:
-                lo_ok = child.lower is None or t > mapping_value(child.lower, y)
-                hi_ok = child.upper is None or t < mapping_value(child.upper, y)
-                if lo_ok and hi_ok:
-                    found = child
-                    break
-        if found is None:
-            raise ValueError(f"no cell contains {point} at level {i}")
-        cell = found
-    return cell
-
-
-def _chain(cd: CellDecomposition, cell: Cell):
-    """Ancestors from level 1 down to the cell itself."""
-    chain = []
-    cur = cell
-    while cur.level > 0:
-        chain.append(cur)
-        cur = cd.index[cur.base]
-    return list(reversed(chain))
-
-
-_SECTOR_FRACTIONS = (
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2, 3),
-    Fraction(1, 4),
-    Fraction(3, 4),
-)
-_OPEN_OFFSETS = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(2),
-    Fraction(1, 3),
-    Fraction(3),
-)
-_FREE_VALUES = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
-
-
-def cell_interior_points(cd: CellDecomposition, cell: Cell, count: int = 5):
-    """Deterministic points strictly inside the cell (≤ 5 distinct recipes).
-
-    Each variant re-walks the cell's chain, placing the new coordinate at a
-    different position of the open interval between the delineating
-    mappings evaluated at the partial point built so far.
-    """
-    if count > 5:
-        raise ValueError("at most 5 interior variants are available")
-    points = []
-    for v in range(count):
-        p = ()
-        for c in _chain(cd, cell):
-            if c.kind == "section":
-                t = mapping_value(c.lower, p)
-            else:
-                lo = None if c.lower is None else mapping_value(c.lower, p)
-                hi = None if c.upper is None else mapping_value(c.upper, p)
-                if lo is None and hi is None:
-                    t = _FREE_VALUES[v]
-                elif lo is None:
-                    t = hi - _OPEN_OFFSETS[v]
-                elif hi is None:
-                    t = lo + _OPEN_OFFSETS[v]
-                else:
-                    t = lo + (hi - lo) * _SECTOR_FRACTIONS[v]
-            p = p + (t,)
-        points.append(p)
-    return points
-
-
-# ---------------------------------------------------------------------------
-# Compatibility
-# ---------------------------------------------------------------------------
-
-
-def _sign(v: Fraction) -> str:
-    return "+" if v > 0 else "-" if v < 0 else "0"
-
-
-def compatibility_check(
-    cd: CellDecomposition, arr: Arrangement, n_points: int = 100, seed: int = 0
-) -> bool:
-    """Verify the decomposition is adapted to the arrangement.
-
-    Every full-level cell must have a constant sign against every plane of
-    the arrangement (checked on the sample plus five deterministic interior
-    resamples), and random points must fall in exactly one cell of every
-    level, agreeing with ``locate``.
-    """
-    d = cd.d
-    for cell in cd.levels[d]:
-        pts = [cell.sample] + cell_interior_points(cd, cell, 5)
-        for h in arr.hyperplanes:
-            signs = {_sign(affine_eval(h, p)) for p in pts}
-            if len(signs) > 1:
-                return False
-
-    rng = random.Random(seed)
-    for _ in range(n_points):
-        point = tuple(
-            Fraction(rng.randint(-12 * 16, 12 * 16), 16) for _ in range(d)
-        )
-        for level in range(1, d + 1):
-            prefix = point[:level]
-            members = [
-                c for c in cd.levels[level] if cell_contains(cd, c, prefix)
-            ]
-            if len(members) != 1:
-                return False
-            if locate(cd, prefix).id != members[0].id:
-                return False
-    return True

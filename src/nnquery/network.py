@@ -103,7 +103,14 @@ class Network:
 def _parse_neuron(obj, prev_ids: list, where: str) -> Neuron:
     if not isinstance(obj, dict) or "bias" not in obj or "weights" not in obj:
         raise ValueError(f"{where}: neuron must be an object with 'bias' and 'weights'")
-    bias = rational(obj["bias"])
+
+    def value(v, what):
+        try:
+            return rational(v)
+        except TypeError:
+            raise ValueError(f"{where}: {what} {v!r} is not a rational") from None
+
+    bias = value(obj["bias"], "bias")
     ws = obj["weights"]
     if isinstance(ws, list):
         if len(ws) != len(prev_ids):
@@ -111,7 +118,7 @@ def _parse_neuron(obj, prev_ids: list, where: str) -> Neuron:
                 f"{where}: expected {len(prev_ids)} weights "
                 f"(one per node of the previous layer), got {len(ws)}"
             )
-        weights = tuple(rational(v) for v in ws)
+        weights = tuple(value(v, "weight") for v in ws)
     elif isinstance(ws, dict):
         by_id = {str(p): k for k, p in enumerate(prev_ids)}
         weights = [Fraction(0)] * len(prev_ids)
@@ -121,7 +128,7 @@ def _parse_neuron(obj, prev_ids: list, where: str) -> Neuron:
                     f"{where}: non-layered edge from {key!r} "
                     f"(previous layer is {[str(p) for p in prev_ids]})"
                 )
-            weights[by_id[key]] = rational(v)
+            weights[by_id[key]] = value(v, "weight")
         weights = tuple(weights)
     else:
         raise ValueError(f"{where}: 'weights' must be a list or an id-keyed object")

@@ -380,19 +380,35 @@ def pwl_to_json(f: PwlFunction) -> str:
 
 
 def pwl_from_json(text: str) -> PwlFunction:
+    """Read a function written by ``pwl_to_json``.
+
+    Breakplanes may be given in any scaling; a position character refers to
+    the plane as written, so where canonicalization reverses a plane's
+    orientation its '+' and '-' are swapped in every position.
+    """
     doc = json.loads(text)
     m = doc["inputs"]
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("inputs must be a positive integer")
-    planes = tuple(
-        canonicalize([rational(a) for a in h]) for h in doc["breakplanes"]
-    )
-    polys = tuple(
-        (p["position"], tuple(rational(a) for a in p["component"]))
-        for p in doc["polytopes"]
-    )
-    f = PwlFunction(m=m, breakplanes=planes, polytopes=polys)
+    try:
+        written = [tuple(rational(a) for a in h) for h in doc["breakplanes"]]
+        polys = [
+            (p["position"], tuple(rational(a) for a in p["component"])) for p in doc["polytopes"]
+        ]
+    except TypeError as e:
+        raise ValueError(f"malformed entry: {e}") from e
+    if any(len(h) != m + 1 for h in written):
+        raise ValueError(f"breakplane of wrong length for {m} inputs")
+    planes = tuple(canonicalize(h) for h in written)
+    if len(set(planes)) != len(planes):
+        raise ValueError("two breakplanes have the same canonical form")
+    flipped = [next(a for a in h[1:] if a != 0) < 0 for h in written]
+    swap = str.maketrans("+-", "-+")
+    out = []
     for pos, comp in polys:
-        if len(pos) != len(planes) or len(comp) != m + 1:
-            raise ValueError("malformed polytope entry")
-    return f
+        if not isinstance(pos, str) or len(pos) != len(planes) or set(pos) - set("+-="):
+            raise ValueError(f"malformed position {pos!r}")
+        if len(comp) != m + 1:
+            raise ValueError("component of wrong length")
+        out.append(("".join(c.translate(swap) if f else c for c, f in zip(pos, flipped)), comp))
+    return PwlFunction(m=m, breakplanes=planes, polytopes=tuple(out))

@@ -273,6 +273,108 @@ def oracle_pwl_proper(f) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Cell decompositions, read from the cells alone: a level-i cell holds a
+# point exactly when its base cell holds the first i−1 coordinates and the
+# i-th lies on its section or strictly between its delineating planes, each
+# solved for x_i over the shorter point.  ``cells`` maps every cell id of a
+# decomposition to its cell; only the cells' id/level/kind/base/lower/upper/
+# sample fields are read.
+# ---------------------------------------------------------------------------
+
+
+def _height(h, y):
+    """The value of x_i on the plane h = (a_0..a_i) over y in R^{i-1}."""
+    i = len(h) - 1
+    return -(h[0] + sum(a * v for a, v in zip(h[1:i], y))) / h[i]
+
+
+def _holds_last(cell, point):
+    """Whether the cell's own bounds hold the point's last coordinate."""
+    y, t = point[:-1], point[-1]
+    if cell.kind == "section":
+        return t == _height(cell.lower, y)
+    return (cell.lower is None or t > _height(cell.lower, y)) and (
+        cell.upper is None or t < _height(cell.upper, y)
+    )
+
+
+def oracle_cell_contains(cells, cell, point) -> bool:
+    """Whether the cell holds the point (one coordinate per level)."""
+    point = tuple(Fraction(v) for v in point)
+    while cell.level:
+        if not _holds_last(cell, point[: cell.level]):
+            return False
+        cell = cells[cell.base]
+    return True
+
+
+def oracle_locate(cells, point):
+    """The level-len(point) cell holding the point, or None unless every
+    prefix of the point lies in exactly one cell of its level.  Holders are
+    sought among all cells of each level."""
+    point = tuple(Fraction(v) for v in point)
+    levels = {}
+    for c in cells.values():
+        levels.setdefault(c.level, []).append(c)
+    holders = levels[0]
+    for i in range(1, len(point) + 1):
+        inside = {c.id for c in holders}
+        holders = [
+            c for c in levels.get(i, ()) if c.base in inside and _holds_last(c, point[:i])
+        ]
+        if len(holders) != 1:
+            return None
+    return holders[0]
+
+
+_INTERIOR = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+
+
+def oracle_interior_points(cells, cell) -> list:
+    """Five points of the cell, each built level by level from the bounds
+    over the coordinates placed so far: a fraction r of the way between two
+    bounds, 1/r beyond a single bound, or 1/r itself when unbounded."""
+    chain = []
+    while cell.level:
+        chain.append(cell)
+        cell = cells[cell.base]
+    points = []
+    for r in _INTERIOR:
+        p = ()
+        for c in reversed(chain):
+            lo = None if c.lower is None else _height(c.lower, p)
+            hi = None if c.upper is None else _height(c.upper, p)
+            if c.kind == "section":
+                t = lo
+            elif lo is None and hi is None:
+                t = 1 / r
+            elif hi is None:
+                t = lo + 1 / r
+            elif lo is None:
+                t = hi - 1 / r
+            else:
+                t = lo + (hi - lo) * r
+            p += (t,)
+        points.append(p)
+    return points
+
+
+def oracle_sign_constant(cells, planes) -> bool:
+    """Whether every full-level cell has one sign on every plane at its
+    sample and at its five ``oracle_interior_points``."""
+    d = max(c.level for c in cells.values())
+    for cell in cells.values():
+        if cell.level != d:
+            continue
+        pts = [cell.sample, *oracle_interior_points(cells, cell)]
+        for h in planes:
+            values = [h[0] + sum(a * v for a, v in zip(h[1:], p)) for p in pts]
+            if len({(v > 0) - (v < 0) for v in values}) > 1:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Independent query oracle: quantifier elimination over the PWL case tree
 # ---------------------------------------------------------------------------
 # A closed ordered prenex sentence is decided by substituting the function's

@@ -9,7 +9,6 @@ the suite is deterministic.
 
 import random
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -25,15 +24,9 @@ from nnquery.analysis import (
     robustness_check,
     shap,
 )
-from nnquery.core import BOT, lifted_arith, lifted_compare
-from nnquery.fosum import eval_weight_term
-from nnquery.geometry import (
-    build_cd,
-    cell_contains,
-    compatibility_check,
-    locate,
-    make_arrangement,
-)
+from nnquery.core import BOT, Vocabulary, WeightedStructure
+from nnquery.fosum import FCompare, eval_formula, eval_weight_term, parse_fosum
+from nnquery.geometry import build_cd, make_arrangement
 from nnquery.linprog import affine_eval
 from nnquery.network import (
     Network,
@@ -51,8 +44,10 @@ from oracles import (
     oracle_feature_contribution_1d,
     oracle_forward,
     oracle_integrate_1d,
+    oracle_locate,
     oracle_query,
     oracle_robustness_1d,
+    oracle_sign_constant,
     oracle_sign_vectors,
     random_network,
     random_ordered_sentence,
@@ -179,8 +174,11 @@ def test_criterion_3_decomposition_correctness():
                     planes.append(h)
             arr = make_arrangement(d, planes)
             cd = build_cd(arr)
+            cells = cd.index
 
-            assert compatibility_check(cd, arr, n_points=20, seed=trial)
+            # Every full-level cell keeps one sign on every plane, at its
+            # sample and at five interior points.
+            assert oracle_sign_constant(cells, arr.hyperplanes)
 
             got = {
                 tuple(sign_at(h, c.sample) for h in arr.hyperplanes)
@@ -188,34 +186,19 @@ def test_criterion_3_decomposition_correctness():
             }
             assert got == oracle_sign_vectors(arr.hyperplanes, d)
 
-            children = defaultdict(list)
-            for level in range(1, d + 1):
-                for c in cd.levels[level]:
-                    children[c.base].append(c)
-
-            for _ in range(100):
-                p = tuple(
-                    Fraction(rng.randint(-48, 48), 16) for _ in range(d)
-                )
-                located = locate(cd, p)
-                assert located.level == d
-                assert cell_contains(cd, located, p)
-                # Exactly one cell per level holds the point's prefix.
-                # Walking the unique chain proves global uniqueness: a cell
-                # can contain a point only if its base contains the shorter
-                # prefix, so once the level-(i-1) holder is unique, the
-                # candidates at level i are exactly that cell's stack.
-                current = cd.levels[0][0]
-                for level in range(1, d + 1):
-                    prefix = p[:level]
-                    holders = [
-                        c
-                        for c in children[current.id]
-                        if cell_contains(cd, c, prefix)
-                    ]
-                    assert len(holders) == 1
-                    current = holders[0]
-                assert current.id == located.id
+            # Every point's prefix lies in exactly one cell of each level:
+            # 20 points over a wide box, 100 near the origin.
+            wide = random.Random(trial)
+            points = [
+                tuple(Fraction(wide.randint(-192, 192), 16) for _ in range(d))
+                for _ in range(20)
+            ]
+            points += [
+                tuple(Fraction(rng.randint(-48, 48), 16) for _ in range(d))
+                for _ in range(100)
+            ]
+            for p in points:
+                assert oracle_locate(cells, p) is not None, (trial, p)
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +484,43 @@ def test_criterion_7_verification_analyses():
 
 def test_criterion_8_lifted_value_table():
     with criterion(8, "lifted-value 12-case table, exact", 60):
+        # Weight constants x (a sample rational), u (undefined) and z
+        # (zero); every row is parsed and evaluated as FO+SUM.
+        vocab = Vocabulary(weights={"x": 0, "u": 0, "z": 0})
+
+        def holds(text, x):
+            s = WeightedStructure(
+                vocab, ("e",), weights={"x": {(): x}, "z": {(): Fraction(0)}}
+            )
+            node = parse_fosum(text, vocab)
+            if isinstance(node, FCompare):
+                return eval_formula(s, node, {})
+            return eval_weight_term(s, node, {}) is BOT
+
         samples = (Fraction(7, 3), Fraction(-2), Fraction(0))
         table_rows = 0
         # Rows 1-8: each arithmetic op absorbs an undefined operand on
         # either side (including mul by 0: absorption beats annihilation).
-        for op in ("add", "scalar-mul", "mul", "div"):
-            assert all(lifted_arith(op, x, BOT) is BOT for x in samples)
+        for left, right in (
+            ("x + u", "u + x"),
+            ("3 * u", "u * 0"),
+            ("x * u", "u * x"),
+            ("x / u", "u / x"),
+        ):
+            assert all(holds(left, x) for x in samples)
             table_rows += 1
-            assert all(lifted_arith(op, BOT, x) is BOT for x in samples)
+            assert all(holds(right, x) for x in samples)
             table_rows += 1
         # Row 9: division by zero is undefined.
-        assert all(lifted_arith("div", x, Fraction(0)) is BOT for x in samples)
-        assert lifted_arith("div", BOT, Fraction(0)) is BOT
+        assert all(holds("x / z", x) for x in samples)
+        assert holds("u / z", Fraction(1))
         table_rows += 1
         # Rows 10-12: undefined sits strictly below every rational and
         # equals itself.
-        assert all(lifted_compare(BOT, x) == "lt" for x in samples)
+        assert all(holds("u < x", x) and not holds("u = x", x) for x in samples)
         table_rows += 1
-        assert all(lifted_compare(x, BOT) == "gt" for x in samples)
+        assert all(not holds("x < u", x) and not holds("x = u", x) for x in samples)
         table_rows += 1
-        assert lifted_compare(BOT, BOT) == "eq"
+        assert holds("u = u", Fraction(1)) and not holds("u < u", Fraction(1))
         table_rows += 1
         assert table_rows == 12

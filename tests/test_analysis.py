@@ -23,7 +23,7 @@ from nnquery.analysis import (
     simplex_volume,
     triangulate_cell,
 )
-from nnquery.geometry import build_cd, cell_contains, locate, make_arrangement
+from nnquery.geometry import build_cd, make_arrangement
 from nnquery.network import Network, Neuron, build_sawtooth
 from nnquery.pwl import pwl_eval, pwl_from_network, sum_stage
 
@@ -31,10 +31,12 @@ from oracles import (
     _det_gauss,
     oracle_ball_range_1d,
     oracle_cayley_menger_sq,
+    oracle_cell_contains,
     oracle_counterfactual_1d,
     oracle_feature_contribution_1d,
     oracle_forward,
     oracle_integrate_1d,
+    oracle_locate,
     oracle_robustness_1d,
     random_network,
     random_point,
@@ -173,14 +175,14 @@ class TestTriangulateCell:
         # 0 < x1 < 1, 0 < x2 < x1 is the open triangle (0,0)-(1,0)-(1,1).
         arr = make_arrangement(2, [(0, 1, 0), (-1, 1, 0), (0, 0, 1), (0, 1, -1)])
         cd = build_cd(arr)
-        cell = locate(cd, (F(3, 4), F(1, 4)))
+        cell = oracle_locate(cd.index, (F(3, 4), F(1, 4)))
         simplices = triangulate_cell(cd, cell)
         assert len(simplices) == 1
         assert simplex_volume(simplices[0]) == F(1, 2)
 
     def test_quadrilateral_splits_into_two_simplices(self):
         cd = quad_cd()
-        cell = locate(cd, (F(1, 2), F(1, 2)))
+        cell = oracle_locate(cd.index, (F(1, 2), F(1, 2)))
         simplices = triangulate_cell(cd, cell)
         assert len(simplices) == 2
         # Shoelace area of (0,0), (1,0), (1,3), (0,2) is 5/2.
@@ -198,7 +200,7 @@ class TestTriangulateCell:
             hi_p[0] = F(-hi)
             planes.extend([tuple(lo_p), tuple(hi_p)])
         cd = build_cd(make_arrangement(3, planes))
-        cell = locate(cd, (1, 1, 1))
+        cell = oracle_locate(cd.index, (1, 1, 1))
         total = sum(simplex_volume(s) for s in triangulate_cell(cd, cell))
         assert total == 2 * 3 * 5
 
@@ -213,19 +215,19 @@ class TestTriangulateCell:
             (1, 1, 1, -1),
         ]
         cd = build_cd(make_arrangement(3, planes))
-        cell = locate(cd, (1, 1, 1))
+        cell = oracle_locate(cd.index, (1, 1, 1))
         total = sum(simplex_volume(s) for s in triangulate_cell(cd, cell))
         assert total == 21
 
     def test_unbounded_cell_rejected(self):
         cd = quad_cd()
-        cell = locate(cd, (F(1, 2), 10))
+        cell = oracle_locate(cd.index, (F(1, 2), 10))
         with pytest.raises(ValueError):
             triangulate_cell(cd, cell)
 
     def test_simplices_cover_cell_with_disjoint_interiors(self):
         cd = quad_cd()
-        cell = locate(cd, (F(1, 2), F(1, 2)))
+        cell = oracle_locate(cd.index, (F(1, 2), F(1, 2)))
         simplices = triangulate_cell(cd, cell)
         rng = random.Random(7)
         for _ in range(200):
@@ -233,16 +235,16 @@ class TestTriangulateCell:
             memberships = [_barycentric_membership(s, p) for s in simplices]
             in_union = any(closed for closed, _ in memberships)
             strictly_inside = sum(1 for _, open_ in memberships if open_)
-            if cell_contains(cd, cell, p):
+            if oracle_cell_contains(cd.index, cell, p):
                 assert in_union
             assert strictly_inside <= 1
             # A point strictly inside some simplex must belong to the cell's
             # closure; probe via the open cell to dodge boundary cases.
-            if strictly_inside and not cell_contains(cd, cell, p):
+            if strictly_inside and not oracle_cell_contains(cd.index, cell, p):
                 # must be on the cell's boundary: nudging toward the sample
                 # point enters the open cell
                 mid = tuple((a + b) / 2 for a, b in zip(p, cell.sample))
-                assert cell_contains(cd, cell, mid)
+                assert oracle_cell_contains(cd.index, cell, mid)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("concurrent", [False, True])

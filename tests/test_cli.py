@@ -303,6 +303,15 @@ class TestExitCodes:
             assert r.exit_code == 3, (args, r.output)
             assert "error:" in r.stderr
 
+    def test_non_rational_weight_exits_3(self, tmp_path):
+        model = tmp_path / "bool_weight.json"
+        model.write_text(
+            json.dumps({"inputs": 1, "hidden": [], "outputs": [{"bias": "0", "weights": [True]}]})
+        )
+        r = invoke(["eval", "--model", str(model), "--input", "1"])
+        assert r.exit_code == 3, r.output
+        assert "output neuron 1" in r.stderr
+
     def test_counterfactual_reports_empty_region(self, models, tmp_path):
         zero = tmp_path / "z.json"
         invoke(["gen-sawtooth", "--out", str(zero)])

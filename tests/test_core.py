@@ -8,14 +8,22 @@ from nnquery.core import (
     BOT,
     Vocabulary,
     WeightedStructure,
-    disjoint_union,
     format_rational,
-    lifted_arith,
     lifted_compare,
     rational,
 )
+from nnquery.fosum import eval_weight_term, parse_fosum
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
+
+# weight constants a, b, c take the given values; u is undefined
+VOCAB = Vocabulary(weights={"a": 0, "b": 0, "c": 0, "u": 0})
+
+
+def ev(text, **values):
+    """The lifted value of the weight term ``text``."""
+    s = WeightedStructure(VOCAB, ("e",), weights={k: {(): v} for k, v in values.items()})
+    return eval_weight_term(s, parse_fosum(text, VOCAB), {})
 
 
 def test_rational_parsing_exact():
@@ -39,22 +47,24 @@ def test_format_rational():
 
 
 def test_division_by_zero_is_bottom():
-    assert lifted_arith("div", Fraction(1), Fraction(0)) is BOT
+    assert ev("a / b", a=Fraction(1), b=Fraction(0)) is BOT
+    assert ev("1 / 0") is BOT
 
 
 def test_bottom_absorbs_all_ops_both_sides():
     x = Fraction(5, 3)
-    for op in ("add", "mul", "scalar-mul", "div"):
-        assert lifted_arith(op, x, BOT) is BOT
-        assert lifted_arith(op, BOT, x) is BOT
-    # even 0 · ⊥ is ⊥, not 0
-    assert lifted_arith("mul", BOT, Fraction(0)) is BOT
+    for op in "+-*/":
+        assert ev(f"a {op} u", a=x) is BOT
+        assert ev(f"u {op} a", a=x) is BOT
+    # even 0 · ⊥ is ⊥, not 0, and ⊥ − ⊥ does not cancel to 0
+    assert ev("u * 0") is BOT
+    assert ev("u - u") is BOT
 
 
 def test_exact_arith():
-    assert lifted_arith("add", Fraction(3, 2), Fraction(1, 2)) == Fraction(2)
-    assert lifted_arith("mul", Fraction(2, 3), Fraction(3, 2)) == Fraction(1)
-    assert lifted_arith("div", Fraction(1), Fraction(3)) == Fraction(1, 3)
+    assert ev("a + b", a=Fraction(3, 2), b=Fraction(1, 2)) == Fraction(2)
+    assert ev("a * b", a=Fraction(2, 3), b=Fraction(3, 2)) == Fraction(1)
+    assert ev("a / b", a=Fraction(1), b=Fraction(3)) == Fraction(1, 3)
 
 
 def test_compare_bottom_is_strictly_below_everything():
@@ -72,77 +82,15 @@ def test_compare_matches_fraction_order(a, b):
 
 @given(rationals, rationals, rationals)
 def test_arith_assoc_comm(a, b, c):
-    add = lambda x, y: lifted_arith("add", x, y)
-    mul = lambda x, y: lifted_arith("mul", x, y)
-    assert add(a, b) == add(b, a)
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert mul(a, b) == mul(b, a)
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    for op in "+*":
+        assert ev(f"a {op} b", a=a, b=b) == ev(f"b {op} a", a=a, b=b)
+        assert ev(f"(a {op} b) {op} c", a=a, b=b, c=c) == ev(
+            f"a {op} (b {op} c)", a=a, b=b, c=c
+        )
 
 
 @given(rationals)
 def test_bottom_absorption_property(x):
-    for op in ("add", "mul", "scalar-mul", "div"):
-        assert lifted_arith(op, x, BOT) is BOT
-        assert lifted_arith(op, BOT, x) is BOT
-
-
-def _small_structure(prefix: str, n: int) -> WeightedStructure:
-    vocab = Vocabulary(
-        relations={f"{prefix}edge": 2},
-        constants=(f"{prefix}start",),
-        weights={f"{prefix}w": 2, f"{prefix}b": 1},
-    )
-    dom = tuple(f"{prefix}{i}" for i in range(n))
-    return WeightedStructure(
-        vocabulary=vocab,
-        domain=dom,
-        relations={f"{prefix}edge": {(dom[i], dom[i + 1]) for i in range(n - 1)}},
-        constants={f"{prefix}start": dom[0]},
-        weights={
-            f"{prefix}w": {(dom[0], dom[-1]): Fraction(1, 2)},
-            f"{prefix}b": {(dom[0],): Fraction(3)},
-        },
-        weight_defaults={f"{prefix}w": Fraction(0), f"{prefix}b": BOT},
-    )
-
-
-def test_disjoint_union_sizes_and_markers():
-    a, b = _small_structure("a", 3), _small_structure("b", 2)
-    u = disjoint_union(a, b)
-    assert len(u.domain) == 5
-    marks = [n for n in u.vocabulary.relations if n not in ("aedge", "bedge")]
-    assert len(marks) == 2
-    sizes = sorted(len(u.relations[m]) for m in marks)
-    assert sizes == [2, 3]
-
-
-def test_disjoint_union_cross_weights_bottom_and_relations_false():
-    a, b = _small_structure("a", 3), _small_structure("b", 2)
-    u = disjoint_union(a, b)
-    ea, eb = ("L", "a0"), ("R", "b0")
-    assert u.weight("aw", (ea, eb)) is BOT
-    assert u.weight("aw", (eb, eb)) is BOT
-    # same-side lookups keep original values and defaults
-    assert u.weight("aw", (ea, ("L", "a2"))) == Fraction(1, 2)
-    assert u.weight("aw", (("L", "a1"), ea)) == Fraction(0)
-    assert not u.rel("aedge", (ea, eb))
-    assert not u.rel("aedge", (eb, ("R", "b1")))
-    assert u.rel("bedge", (eb, ("R", "b1")))
-
-
-def test_disjoint_union_symbol_clash():
-    a = _small_structure("a", 2)
-    with pytest.raises(ValueError):
-        disjoint_union(a, _small_structure("a", 3))
-
-
-def test_disjoint_union_preserves_originals():
-    a, b = _small_structure("a", 3), _small_structure("b", 2)
-    u = disjoint_union(a, b)
-    # restricting to the left side reproduces a exactly (modulo tagging)
-    for t in a.relations["aedge"]:
-        assert u.rel("aedge", tuple(("L", e) for e in t))
-    assert u.const("astart") == ("L", "a0")
-    for tup, v in a.weights["aw"].items():
-        assert u.weight("aw", tuple(("L", e) for e in tup)) == v
+    for op in "+-*/":
+        assert ev(f"a {op} u", a=x) is BOT
+        assert ev(f"u {op} a", a=x) is BOT

@@ -10,16 +10,18 @@ from nnquery.geometry import (
     build_cd,
     canonicalize,
     cd_stats,
-    cell_contains,
-    cell_interior_points,
-    compatibility_check,
-    locate,
     make_arrangement,
     plane_sign,
 )
 from nnquery.linprog import affine_eval
 
-from oracles import oracle_sign_vectors
+from oracles import (
+    oracle_cell_contains,
+    oracle_interior_points,
+    oracle_locate,
+    oracle_sign_constant,
+    oracle_sign_vectors,
+)
 
 
 def F(*args):
@@ -220,25 +222,25 @@ class TestCellQueries:
         cd = build_cd(arr)
         for _ in range(40):
             p = (Fraction(rng.randint(-40, 40), 8), Fraction(rng.randint(-40, 40), 8))
-            cell = locate(cd, p)
-            assert cell_contains(cd, cell, p)
+            cell = oracle_locate(cd.index, p)
+            assert cell is not None and oracle_cell_contains(cd.index, cell, p)
 
     def test_interior_points_stay_inside(self):
         arr = make_arrangement(2, [(0, -1, 1), (0, 1, 1), (-1, 1, 0)])
         cd = build_cd(arr)
         for cell in cd.levels[2]:
-            for p in cell_interior_points(cd, cell, 5):
-                assert cell_contains(cd, cell, p)
+            for p in oracle_interior_points(cd.index, cell):
+                assert oracle_cell_contains(cd.index, cell, p)
 
 
 class TestCompatibility:
     def test_incompatible_decomposition(self):
         cd = build_cd(make_arrangement(1, [(0, 1)]))  # adapted to x1 = 0 only
-        assert compatibility_check(cd, make_arrangement(1, [(-1, 1)])) is False
+        assert oracle_sign_constant(cd.index, [(-1, 1)]) is False
 
     def test_subset_arrangement_compatible(self):
         cd = build_cd(make_arrangement(1, [(0, 1), (-1, 1)]))
-        assert compatibility_check(cd, make_arrangement(1, [(-1, 1)])) is True
+        assert oracle_sign_constant(cd.index, [(-1, 1)]) is True
 
     def test_self_compatibility_random(self):
         rng = random.Random(20260816)
@@ -251,7 +253,11 @@ class TestCompatibility:
                     planes.append(h)
             arr = make_arrangement(d, planes)
             cd = build_cd(arr)
-            assert compatibility_check(cd, arr, n_points=30, seed=5)
+            assert oracle_sign_constant(cd.index, arr.hyperplanes)
+            wide = random.Random(5)
+            for _ in range(30):
+                p = [Fraction(wide.randint(-192, 192), 16) for _ in range(d)]
+                assert oracle_locate(cd.index, p) is not None
 
     def test_sign_vectors_complete(self):
         rng = random.Random(77)

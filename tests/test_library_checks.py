@@ -1,6 +1,7 @@
 """Source-level checks on the library package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nnquery
@@ -110,3 +111,48 @@ def test_no_unused_parameter_in_library():
                 and p.arg not in ("self", "cls")
             ]
     assert not found, f"unused parameters in the library: {found}"
+
+
+def _is_click_command(node):
+    # `@main.command(...)`, `@click.group()` and the like
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _names(tree):
+    # every name read, looked up as an attribute or imported under the tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_library_function_has_a_caller():
+    # a top-level function or class that no library module names outside
+    # its own body, that is not exported through its module's `__all__` and
+    # is no CLI command serves only the tests: it belongs next to them
+    modules = list(_modules())
+    uses = Counter(name for _path, tree in modules for name in _names(tree))
+    found = []
+    for path, tree in modules:
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        found += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in exported
+            and not _is_click_command(node)
+            and uses[node.name] == list(_names(node)).count(node.name)
+        ]
+    assert not found, f"library functions with no caller outside the tests: {found}"

@@ -68,6 +68,14 @@ def test_load_rejects_bad_rational():
         load_network(bad)
 
 
+@pytest.mark.parametrize("bad", [True, None, ["1"], {"p": 1}])
+def test_load_rejects_non_rational_json_value(bad):
+    for neuron in ({"bias": bad, "weights": ["1"]}, {"bias": "0", "weights": [bad]}):
+        doc = json.dumps({"inputs": 1, "hidden": [], "outputs": [neuron]})
+        with pytest.raises(ValueError, match="output neuron 1"):
+            load_network(doc)
+
+
 def test_load_rejects_non_layered_edge():
     bad = json.dumps(
         {

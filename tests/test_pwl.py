@@ -347,6 +347,38 @@ class TestSerialization:
         f = pwl_from_network(net)
         assert pwl_from_json(pwl_to_json(f)) == f
 
+    def test_reversed_breakplane_keeps_its_sides(self):
+        # ReLU(−x), written over the plane −x = 0, which loads as x = 0
+        f = pwl_from_json(
+            '{"inputs": 1, "breakplanes": [["0", "-1"]], "polytopes": ['
+            '{"position": "+", "component": ["0", "-1"]},'
+            '{"position": "=", "component": ["0", "0"]},'
+            '{"position": "-", "component": ["0", "0"]}]}'
+        )
+        assert f.breakplanes == ((0, 1),)
+        assert pwl_eval(f, [-2]) == 2
+        assert pwl_eval(f, [3]) == 0
+
+    @pytest.mark.parametrize(
+        "inputs, planes, position, component",
+        [
+            ("1", '["0", "1", "5"]', "+", '["0", "1"]'),
+            ("1", '["0", "1"], ["0", "-2"]', "++", '["0", "1"]'),
+            ("1", '["0", "1"]', "0", '["0", "1"]'),
+            ("1", '["0", "1"]', "+", '["0", true]'),
+            ("1", '["0", "1"]', "+", '["0", null]'),
+            ("true", '["0", "1"]', "+", '["0", "1"]'),
+        ],
+        ids=["plane-too-long", "plane-twice", "bad-position", "bool-entry", "null-entry", "bool-inputs"],
+    )
+    def test_malformed_entry_rejected(self, inputs, planes, position, component):
+        doc = (
+            f'{{"inputs": {inputs}, "breakplanes": [{planes}],'
+            f' "polytopes": [{{"position": "{position}", "component": {component}}}]}}'
+        )
+        with pytest.raises(ValueError):
+            pwl_from_json(doc)
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             pwl_from_json('{"inputs": 0, "breakplanes": [], "polytopes": []}')

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nnquery.geometry import build_cd, canonicalize, cell_contains, make_arrangement
+from nnquery.geometry import build_cd, canonicalize, make_arrangement
 from nnquery.linprog import affine_eval
 from nnquery.network import Network, Neuron
 from nnquery.pwl import pwl_eval, pwl_from_network
@@ -30,6 +30,7 @@ from nnquery.query import (
 )
 from oracles import (
     breakpoints_1d,
+    oracle_cell_contains,
     oracle_forward,
     oracle_query,
     random_network,
@@ -669,7 +670,7 @@ class TestOpenQuerySolutionSets:
             cells = [cd.index[cid] for cid in s.ids]
 
             def covered(v):
-                return any(cell_contains(cd, c, [v]) for c in cells)
+                return any(oracle_cell_contains(cd.index, c, [v]) for c in cells)
 
             pts = _solution_changepoints(net, critical)
             probes = set(pts)
