@@ -1,23 +1,34 @@
 """Command-line front end: one executable, `nnq`, tying model ingestion,
 both query languages, and the quantitative analyses together.
 
-Every command prints a JSON document {"command", "result", "timings"} with
-all rationals rendered exactly as "p/q" strings; `--decimal K` adds a
-clearly-labeled approximate mirror of the result.  Exit codes: 0 on success,
-1 when a boolean command run with --strict answers false, 2 on usage errors,
-3 on input errors (unreadable or invalid models, malformed query texts,
-domain violations).  The environment variable NNQ_THREADS caps worker
-parallelism; every current command is single-threaded and deterministic, so
-any positive cap is honored trivially.
+Every command is registered through one wrapper, `_command`, placed directly
+under `@main.command(name)`.  It owns the start time, `--model` (read and
+loaded for each body that takes a `net`), `--out` and `--decimal`, the JSON
+document {"command", "result", "timings"} with rationals rendered exactly as
+"p/q" strings (`--decimal K` adds a clearly-labeled approximate mirror), the
+`--strict` exit code, and the one mapping of input problems to exit 3.  A
+command body takes the network and the option values parsed by the click
+types below, and only computes its result.
+
+Exit codes: 0 on success, 1 when a boolean command run with --strict answers
+false, 2 on usage errors (click checks option values before the model is
+read), 3 on input errors (unreadable files, invalid models, and any
+ValueError from the library: malformed query texts, domain violations).  The
+environment variable NNQ_THREADS caps worker parallelism; every current
+command is single-threaded and deterministic, so any positive cap is honored
+trivially.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import click
 
@@ -30,14 +41,7 @@ from .analysis import (
     shap,
 )
 from .core import BOT, format_rational, rational
-from .fosum import (
-    Formula,
-    ParseError,
-    eval_formula,
-    eval_weight_term,
-    free_variables,
-    parse_fosum,
-)
+from .fosum import Formula, eval_formula, eval_weight_term, free_variables, parse_fosum
 from .geometry import build_cd, cd_stats, make_arrangement
 from .network import (
     build_sawtooth,
@@ -49,7 +53,57 @@ from .network import (
     useless_neurons,
 )
 from .pwl import lift_graph, pwl_from_network, pwl_to_json
-from .query import QueryError, evaluate_query
+from .query import evaluate_query
+
+
+# Option types: click reports a malformed value as a usage error (exit 2).
+class _Rational(click.ParamType):
+    name = "rational"
+
+    def convert(self, value, param, ctx):
+        try:
+            return rational(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"{value!r} is not a rational like 3, -2/5 or 0.25", param, ctx)
+
+
+class _Vector(click.ParamType):
+    """Comma-separated rationals; blank text is the empty vector."""
+
+    name = "vector"
+
+    def convert(self, value, param, ctx):
+        if not value.strip():
+            return ()
+        return tuple(RATIONAL.convert(part, param, ctx) for part in value.split(","))
+
+
+class _Box(click.ParamType):
+    name = "box"
+
+    def convert(self, value, param, ctx):
+        intervals = [VECTOR.convert(part, param, ctx) for part in value.split(";")]
+        if any(len(ends) != 2 for ends in intervals):
+            self.fail("must be 'lo,hi' pairs separated by ';', e.g. '0,1;-1,1'", param, ctx)
+        try:
+            return Box(tuple(intervals))
+        except ValueError as e:
+            self.fail(str(e), param, ctx)
+
+
+class _Param(click.ParamType):
+    name = "name=value"
+
+    def convert(self, value, param, ctx):
+        name, sep, text = value.partition("=")
+        if not sep or not name:
+            self.fail("expects name=value, e.g. eps=1/10", param, ctx)
+        return name, RATIONAL.convert(text, param, ctx)
+
+
+RATIONAL = _Rational()
+VECTOR = _Vector()
+BOX = _Box()
 
 
 # ---------------------------------------------------------------------------
@@ -75,70 +129,6 @@ def _check_threads_cap():
             f"warning: ignoring NNQ_THREADS={raw!r} (need a positive integer)",
             err=True,
         )
-
-
-def _load_model(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        _input_error(f"cannot read model {path!r}: {e}")
-    try:
-        return load_network(text)
-    except (ValueError, json.JSONDecodeError) as e:
-        _input_error(f"invalid model {path!r}: {e}")
-
-
-def _read_text(path: str, what: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        _input_error(f"cannot read {what} {path!r}: {e}")
-
-
-def _parse_rational_arg(text: str, what: str) -> Fraction:
-    try:
-        return rational(text.strip())
-    except (ValueError, TypeError):
-        raise click.UsageError(f"{what} must be a rational like 3, -2/5 or 0.25")
-
-
-def _parse_vector(text: str, what: str) -> tuple:
-    parts = [p for p in text.split(",")]
-    if not parts or any(not p.strip() for p in parts):
-        raise click.UsageError(f"{what} must be comma-separated rationals")
-    return tuple(_parse_rational_arg(p, what) for p in parts)
-
-
-def _parse_box(text: str) -> Box:
-    intervals = []
-    for part in text.split(";"):
-        ends = part.split(",")
-        if len(ends) != 2:
-            raise click.UsageError(
-                "--box must be 'lo,hi' pairs separated by ';', e.g. '0,1;-1,1'"
-            )
-        intervals.append(
-            (
-                _parse_rational_arg(ends[0], "--box"),
-                _parse_rational_arg(ends[1], "--box"),
-            )
-        )
-    try:
-        return Box(tuple(intervals))
-    except ValueError as e:
-        raise click.UsageError(f"--box: {e}")
-
-
-def _parse_params(pairs) -> dict:
-    out = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise click.UsageError("--param expects name=value, e.g. eps=1/10")
-        out[name] = _parse_rational_arg(value, f"--param {name}")
-    return out
 
 
 def _render(value, leaf):
@@ -176,30 +166,53 @@ def _emit(command: str, result, started: float, decimal, out):
     payload["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
     text = json.dumps(payload, indent=2)
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as e:
-            _input_error(f"cannot write {out!r}: {e}")
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         click.echo(text)
 
 
-def _model_option(fn):
-    return click.option("--model", required=True, help="Path to a model JSON file.")(fn)
+def _command(body):
+    """Wrap a command body into its click callback.
 
+    A body whose parameters include `net` gets a required `--model` option
+    and the network loaded from it; every body gets `--out` and `--decimal`.
+    A `--strict` option declared by the command is consumed here: exit 1
+    when the result is false, or is an open query with no satisfying cell.
+    """
+    needs_model = "net" in inspect.signature(body).parameters
 
-def _common_options(fn):
-    fn = click.option(
-        "--decimal",
-        type=click.IntRange(0),
-        default=None,
-        help="Add an approximate decimal rendering with this many places.",
-    )(fn)
-    fn = click.option(
-        "--out", default=None, help="Write the JSON result here instead of stdout."
-    )(fn)
-    return fn
+    @functools.wraps(body)
+    def run(out, decimal, model=None, strict=False, **args):
+        started = time.perf_counter()
+        if needs_model:
+            try:
+                args["net"] = load_network(Path(model).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as e:
+                _input_error(f"cannot load model {model!r}: {e}")
+        try:
+            result = body(**args)
+            _emit(click.get_current_context().command.name, result, started, decimal, out)
+        except (OSError, ValueError) as e:
+            _input_error(str(e))
+        if strict and not (result["satisfiable"] if isinstance(result, dict) else result):
+            sys.exit(1)
+
+    # click lists a command's options in the reverse of this order
+    run.__click_params__ = [
+        click.Option(
+            ["--decimal"],
+            type=click.IntRange(0),
+            default=None,
+            help="Add an approximate decimal rendering with this many places.",
+        ),
+        click.Option(["--out"], default=None, help="Write the JSON result here instead of stdout."),
+        *getattr(body, "__click_params__", []),
+    ]
+    if needs_model:
+        run.__click_params__.append(
+            click.Option(["--model"], required=True, help="Path to a model JSON file.")
+        )
+    return run
 
 
 @click.group()
@@ -214,167 +227,104 @@ def main():
 
 
 @main.command("eval")
-@_model_option
-@click.option("--input", "input_", required=True, help="Comma-separated rationals.")
-@_common_options
-def eval_cmd(model, input_, decimal, out):
+@_command
+@click.option("--input", "input_", required=True, type=VECTOR, help="Comma-separated rationals.")
+def eval_cmd(net, input_):
     """Exact forward pass; result is the list of output values."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    x = _parse_vector(input_, "--input")
-    try:
-        result = forward(net, x)
-    except ValueError as e:
-        _input_error(str(e))
-    _emit("eval", result, started, decimal, out)
+    return forward(net, input_)
 
 
 @main.command("fosum")
-@_model_option
+@_command
 @click.option("--term", default=None, help="Path to a weight-term/formula file.")
 @click.option("--term-str", default=None, help="Inline weight term or formula.")
 @click.option(
     "--input",
     "input_",
     default=None,
+    type=VECTOR,
     help="Bind the val_i constants to this point (comma-separated rationals).",
 )
-@_common_options
-def fosum_cmd(model, term, term_str, input_, decimal, out):
+def fosum_cmd(net, term, term_str, input_):
     """Evaluate a closed aggregate-logic weight term or formula against the
     model's weighted graph structure."""
-    started = time.perf_counter()
     if (term is None) == (term_str is None):
         raise click.UsageError("provide exactly one of --term / --term-str")
-    net = _load_model(model)
-    text = term_str if term_str is not None else _read_text(term, "term")
-    vals = _parse_vector(input_, "--input") if input_ is not None else None
-    vocab = graph_vocabulary(net.inputs, len(net.outputs))
-    try:
-        ast = parse_fosum(text, vocab)
-    except ParseError as e:
-        _input_error(f"cannot parse term: {e}")
+    text = term_str if term is None else Path(term).read_text(encoding="utf-8")
+    ast = parse_fosum(text, graph_vocabulary(net.inputs, len(net.outputs)))
     if free_variables(ast):
-        _input_error("term/formula must be closed (no free variables)")
-    try:
-        structure = to_structure(net, vals=vals)
-        if isinstance(ast, Formula):
-            result = eval_formula(structure, ast, {})
-        else:
-            result = eval_weight_term(structure, ast, {})
-    except (ValueError, KeyError) as e:
-        _input_error(str(e))
-    _emit("fosum", result, started, decimal, out)
+        raise ValueError("term/formula must be closed (no free variables)")
+    evaluate = eval_formula if isinstance(ast, Formula) else eval_weight_term
+    return evaluate(to_structure(net, vals=input_), ast, {})
 
 
 @main.command("extract-pwl")
-@_model_option
-@_common_options
-def extract_pwl_cmd(model, decimal, out):
+@_command
+def extract_pwl_cmd(net):
     """Exact piecewise-linear normal form: breakplanes plus one affine
     component per position."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    try:
-        f = pwl_from_network(net)
-    except ValueError as e:
-        _input_error(str(e))
-    _emit("extract-pwl", json.loads(pwl_to_json(f)), started, decimal, out)
+    return json.loads(pwl_to_json(pwl_from_network(net)))
 
 
 @main.command("query")
-@_model_option
+@_command
 @click.option("--query", "query_path", default=None, help="Path to a query file.")
 @click.option("--query-str", default=None, help="Inline query text.")
-@click.option("--param", multiple=True, help="Rational parameter, name=value.")
+@click.option("--param", multiple=True, type=_Param(), help="Rational parameter, name=value.")
 @click.option(
     "--free-order",
     default=None,
     help="Comma-separated free-variable order overriding first appearance.",
 )
-@click.option(
-    "--strict", is_flag=True, help="Exit 1 when the answer is false/empty."
-)
-@_common_options
-def query_cmd(model, query_path, query_str, param, free_order, strict, decimal, out):
+@click.option("--strict", is_flag=True, help="Exit 1 when the answer is false/empty.")
+def query_cmd(net, query_path, query_str, param, free_order):
     """Evaluate a first-order query: closed queries answer true/false, open
     queries list one exact sample point per satisfying cell."""
-    started = time.perf_counter()
     if (query_path is None) == (query_str is None):
         raise click.UsageError("provide exactly one of --query / --query-str")
-    net = _load_model(model)
-    text = query_str if query_str is not None else _read_text(query_path, "query")
-    params = _parse_params(param) or None
+    text = query_str if query_path is None else Path(query_path).read_text(encoding="utf-8")
     order = None
     if free_order is not None:
         order = [v.strip() for v in free_order.split(",") if v.strip()]
-    try:
-        res = evaluate_query(net, text, parameters=params, free_order=order)
-    except (QueryError, ValueError) as e:
-        _input_error(str(e))
+    res = evaluate_query(net, text, parameters=dict(param) or None, free_order=order)
     if res.truth is not None:
-        result = res.truth
-        falsy = not res.truth
-    else:
-        result = {
-            "free_vars": list(res.free_vars),
-            "satisfiable": bool(res.cells),
-            "cells": [
-                {"id": list(cid), "sample": sample} for cid, sample in res.cells
-            ],
-        }
-        falsy = not res.cells
-    _emit("query", result, started, decimal, out)
-    if strict and falsy:
-        sys.exit(1)
+        return res.truth
+    return {
+        "free_vars": list(res.free_vars),
+        "satisfiable": bool(res.cells),
+        "cells": [{"id": list(cid), "sample": sample} for cid, sample in res.cells],
+    }
 
 
 @main.command("integrate")
-@_model_option
-@click.option("--box", required=True, help="'lo,hi' pairs separated by ';'.")
+@_command
+@click.option("--box", required=True, type=BOX, help="'lo,hi' pairs separated by ';'.")
 @click.option(
     "--method",
     type=click.Choice(["auto", "cells", "trapezoid"]),
     default="auto",
     show_default=True,
 )
-@_common_options
-def integrate_cmd(model, box, method, decimal, out):
+def integrate_cmd(net, box, method):
     """Exact integral of the network function over a box."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    b = _parse_box(box)
-    try:
-        result = integrate_box(pwl_from_network(net), b, method=method)
-    except ValueError as e:
-        _input_error(str(e))
-    _emit("integrate", result, started, decimal, out)
+    return integrate_box(pwl_from_network(net), box, method=method)
 
 
 @main.command("shap")
-@_model_option
-@click.option("--point", required=True, help="Evaluation point, comma-separated.")
-@click.option("--box", required=True, help="'lo,hi' pairs separated by ';'.")
+@_command
+@click.option("--point", required=True, type=VECTOR, help="Evaluation point, comma-separated.")
+@click.option("--box", required=True, type=BOX, help="'lo,hi' pairs separated by ';'.")
 @click.option("--feature", type=int, required=True, help="1-based input index.")
-@_common_options
-def shap_cmd(model, point, box, feature, decimal, out):
+def shap_cmd(net, point, box, feature):
     """Exact Shapley value of one input, inputs uniform on the box."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    y = _parse_vector(point, "--point")
-    b = _parse_box(box)
-    try:
-        result = shap(net, y, b, feature)
-    except ValueError as e:
-        _input_error(str(e))
-    _emit("shap", result, started, decimal, out)
+    return shap(net, point, box, feature)
 
 
 @main.command("robust")
-@_model_option
-@click.option("--point", required=True, help="Center point, comma-separated.")
-@click.option("--eps", required=True, help="Input radius (rational).")
-@click.option("--delta", required=True, help="Output tolerance (rational).")
+@_command
+@click.option("--point", required=True, type=VECTOR, help="Center point, comma-separated.")
+@click.option("--eps", required=True, type=RATIONAL, help="Input radius (rational).")
+@click.option("--delta", required=True, type=RATIONAL, help="Output tolerance (rational).")
 @click.option(
     "--metric",
     type=click.Choice(["linf", "l1"]),
@@ -382,129 +332,67 @@ def shap_cmd(model, point, box, feature, decimal, out):
     show_default=True,
 )
 @click.option("--strict", is_flag=True, help="Exit 1 when not robust.")
-@_common_options
-def robust_cmd(model, point, eps, delta, metric, strict, decimal, out):
+def robust_cmd(net, point, eps, delta, metric):
     """Decide ∀x (dist(x, point) < eps → |F(x) − F(point)| < delta)."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    a = _parse_vector(point, "--point")
-    e = _parse_rational_arg(eps, "--eps")
-    d = _parse_rational_arg(delta, "--delta")
-    try:
-        result = robustness_check(net, a, e, d, metric=metric)
-    except ValueError as e_:
-        _input_error(str(e_))
-    _emit("robust", result, started, decimal, out)
-    if strict and not result:
-        sys.exit(1)
+    return robustness_check(net, point, eps, delta, metric=metric)
 
 
 @main.command("counterfactual")
-@_model_option
-@click.option("--point", required=True, help="Reference point, comma-separated.")
-@click.option("--threshold", required=True, help="Output threshold (rational).")
-@click.option("--box", required=True, help="Search box, 'lo,hi' pairs ';'-separated.")
+@_command
+@click.option("--point", required=True, type=VECTOR, help="Reference point, comma-separated.")
+@click.option("--threshold", required=True, type=RATIONAL, help="Output threshold (rational).")
+@click.option("--box", required=True, type=BOX, help="Search box, 'lo,hi' pairs ';'-separated.")
 @click.option(
     "--metric",
     type=click.Choice(["linf", "l1"]),
     default="linf",
     show_default=True,
 )
-@_common_options
-def counterfactual_cmd(model, point, threshold, box, metric, decimal, out):
+def counterfactual_cmd(net, point, threshold, box, metric):
     """Closest point (exact) of {F(x) > threshold} within the box."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    a = _parse_vector(point, "--point")
-    thr = _parse_rational_arg(threshold, "--threshold")
-    b = _parse_box(box)
-    try:
-        witness, distance = counterfactual_explain(net, a, thr, b, metric=metric)
-    except ValueError as e:
-        _input_error(str(e))
-    _emit(
-        "counterfactual",
-        {"point": list(witness), "distance": distance},
-        started,
-        decimal,
-        out,
-    )
+    witness, distance = counterfactual_explain(net, point, threshold, box, metric=metric)
+    return {"point": list(witness), "distance": distance}
 
 
 @main.command("contribution")
-@_model_option
-@click.option("--point", required=True, help="Reference point, comma-separated.")
+@_command
+@click.option("--point", required=True, type=VECTOR, help="Reference point, comma-separated.")
 @click.option("--feature", type=int, required=True, help="1-based input index.")
-@click.option("--eps", required=True, help="Output movement threshold (rational).")
-@_common_options
-def contribution_cmd(model, point, feature, eps, decimal, out):
+@click.option("--eps", required=True, type=RATIONAL, help="Output movement threshold (rational).")
+def contribution_cmd(net, point, feature, eps):
     """Least change of one input moving the output by more than eps
     (null when the output never moves that far)."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    a = _parse_vector(point, "--point")
-    e = _parse_rational_arg(eps, "--eps")
-    try:
-        result = feature_contribution(net, a, feature, e)
-    except ValueError as e_:
-        _input_error(str(e_))
-    _emit("contribution", result, started, decimal, out)
+    return feature_contribution(net, point, feature, eps)
 
 
 @main.command("useless-neurons")
-@_model_option
-@click.option("--input", "input_", required=True, help="Evaluation point.")
-@click.option("--eps", required=True, help="Ablation tolerance (rational).")
-@_common_options
-def useless_neurons_cmd(model, input_, eps, decimal, out):
+@_command
+@click.option("--input", "input_", required=True, type=VECTOR, help="Evaluation point.")
+@click.option("--eps", required=True, type=RATIONAL, help="Ablation tolerance (rational).")
+def useless_neurons_cmd(net, input_, eps):
     """Hidden neurons whose ablation moves every output by less than eps."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    x = _parse_vector(input_, "--input")
-    e = _parse_rational_arg(eps, "--eps")
-    try:
-        ids = useless_neurons(net, x, e)
-    except ValueError as e_:
-        _input_error(str(e_))
-    result = [str(i) for i in sorted(ids, key=lambda n: (n.layer, n.index))]
-    _emit("useless-neurons", result, started, decimal, out)
+    ids = useless_neurons(net, input_, eps)
+    return [str(i) for i in sorted(ids, key=lambda n: (n.layer, n.index))]
 
 
 @main.command("cd-stats")
-@_model_option
-@_common_options
-def cd_stats_cmd(model, decimal, out):
+@_command
+def cd_stats_cmd(net):
     """Size statistics of the cylindrical decomposition induced by the
     network function's graph query F(x1,…,xm) = z."""
-    started = time.perf_counter()
-    net = _load_model(model)
-    try:
-        f = pwl_from_network(net)
-        d = f.m + 1
-        cd = build_cd(make_arrangement(d, lift_graph(f, range(1, d), d, d)))
-    except ValueError as e:
-        _input_error(str(e))
-    _emit("cd-stats", cd_stats(cd), started, decimal, out)
+    f = pwl_from_network(net)
+    d = f.m + 1
+    return cd_stats(build_cd(make_arrangement(d, lift_graph(f, range(1, d), d, d))))
 
 
 @main.command("gen-sawtooth")
-@click.option("--s1", default="", help="Positive teeth, comma-separated in (0,1).")
-@click.option("--s2", default="", help="Negative teeth, comma-separated in (0,1).")
-@_common_options
-def gen_sawtooth_cmd(s1, s2, decimal, out):
+@_command
+@click.option("--s1", default="", type=VECTOR, help="Positive teeth, comma-separated in (0,1).")
+@click.option("--s2", default="", type=VECTOR, help="Negative teeth, comma-separated in (0,1).")
+def gen_sawtooth_cmd(s1, s2):
     """Build a sawtooth fixture model: positive unit-height teeth at --s1,
     negative at --s2; with no teeth, the zero function."""
-    started = time.perf_counter()
-
-    def teeth(text, what):
-        text = text.strip()
-        return _parse_vector(text, what) if text else ()
-
-    try:
-        net = build_sawtooth(teeth(s1, "--s1"), teeth(s2, "--s2"))
-    except ValueError as e:
-        _input_error(str(e))
-    _emit("gen-sawtooth", network_to_json(net), started, decimal, out)
+    return network_to_json(build_sawtooth(s1, s2))
 
 
 if __name__ == "__main__":

@@ -239,6 +239,8 @@ def to_structure(net: Network, vals=None) -> WeightedStructure:
     canned evaluation terms compute the forward pass at that point.
     """
     m, n = net.inputs, len(net.outputs)
+    if vals is not None and len(vals) != m:
+        raise ValueError(f"expected {m} input values, got {len(vals)}")
     vocab = graph_vocabulary(m, n)
     layers = [net.layer_ids(0)]
     for k in range(1, len(net.hidden) + 1):

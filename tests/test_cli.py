@@ -10,6 +10,7 @@ timings block), and one happy path per command.
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -408,6 +409,46 @@ class TestExitCodes:
         assert r.exit_code == 0
         assert json.loads(r.stdout)["result"] is False
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--input", "1"],
+            ["fosum", "--term-str", "val2", "--input", "1"],
+            ["fosum", "--term-str", "val2", "--input", "1,2,3"],
+            ["shap", "--point", "1", "--box", "0,1;0,1", "--feature", "1"],
+            ["robust", "--point", "1", "--eps", "1", "--delta", "1"],
+            ["counterfactual", "--point", "1", "--threshold", "5", "--box", "0,1;0,1"],
+            ["contribution", "--point", "1", "--feature", "1", "--eps", "1"],
+            ["useless-neurons", "--input", "1", "--eps", "1"],
+            ["integrate", "--box", "0,1"],
+            ["shap", "--point", "1,1", "--box", "0,1", "--feature", "1"],
+            ["counterfactual", "--point", "1,1", "--threshold", "5", "--box", "0,1"],
+        ],
+        ids=" ".join,
+    )
+    def test_wrong_dimension_exits_3(self, models, args):
+        # two_in has 2 inputs; every point or box above has 1 or 3 coordinates
+        r = invoke([args[0], "--model", models["two_in"], *args[1:]])
+        assert r.exit_code == 3, r.output
+        assert "error:" in r.stderr
+        assert r.stdout == ""
+
+    def test_zero_denominator_option_exits_2(self, models):
+        r = invoke(["eval", "--model", models["relu"], "--input", "1/0"])
+        assert r.exit_code == 2, r.output
+
+    def test_malformed_value_is_checked_before_the_model_is_read(self, models):
+        missing = str(models["root"] / "nope.json")
+        r = invoke(["eval", "--model", missing, "--input", "1,oops"])
+        assert r.exit_code == 2, r.output
+
+    def test_unwritable_out_exits_3(self, models):
+        out = str(models["root"] / "no-such-dir" / "res.json")
+        r = invoke(["eval", "--model", models["relu"], "--input", "1", "--out", out])
+        assert r.exit_code == 3, r.output
+        assert "error:" in r.stderr
+        assert r.stdout == ""
+
 
 # ---------------------------------------------------------------------------
 # Per-command behavior
@@ -768,3 +809,10 @@ class TestThreadCap:
         assert r.exit_code == 0
         assert "NNQ_THREADS" in r.stderr
         assert json.loads(r.stdout)["result"] == ["1"]
+
+
+class TestDocs:
+    def test_readme_command_table_names_every_command(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = set(re.findall(r"^\| `([a-z-]+)` \|", readme, flags=re.MULTILINE))
+        assert table == set(main.commands)

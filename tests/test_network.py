@@ -146,6 +146,13 @@ def test_to_structure_shape():
     assert s.weight("b", ("h1_1",)) == Fraction(0)
 
 
+@pytest.mark.parametrize("vals", [[], [Fraction(1), Fraction(2)]])
+def test_to_structure_rejects_wrong_number_of_values(vals):
+    net = load_network(RELU_NET)
+    with pytest.raises(ValueError, match=f"expected 1 input values, got {len(vals)}"):
+        to_structure(net, vals)
+
+
 def test_affine_eval_term_depth_one():
     term = build_eval_term(2, 1, 1)
     net = load_network(
