@@ -8,8 +8,11 @@ full-dimensional cells and sums signed simplex volumes.  A cell is
 triangulated as the staircase over its base cell's triangulation: the
 region between the cell's affine lower and upper mappings over each base
 simplex splits into one simplex per base corner where the two mappings
-differ, with no search and no degenerate candidate.  Shapley values are factorial-weighted differences of box
-expectations computed from restrictions and integrals.
+differ, with no search and no degenerate candidate.  A one-input function
+is read as its list of affine pieces instead: its integral sums one
+trapezoid per piece, and feature contribution scans the pieces of the
+restriction to one input.  Shapley values are factorial-weighted
+differences of box expectations computed from restrictions and integrals.
 Robustness is a closed first-order sentence handed to the query engine, and
 counterfactuals minimize a linearizable distance over selected-cell closures
 with an exact simplex method.  All arithmetic is rational; no value in this
@@ -213,17 +216,30 @@ def _as_pwl(subject) -> PwlFunction:
     raise TypeError("subject must be a Network or a PwlFunction")
 
 
-def _breakpoints_1d(f: PwlFunction):
-    return sorted({-h[0] / h[1] for h in f.breakplanes})
+def _pieces_1d(g: PwlFunction):
+    """The affine pieces of a one-input function, left to right: (lo, hi, β,
+    α) with g(t) = β + α·t on the open interval (lo, hi), where None is an
+    infinite end.  Consecutive pieces meet at g's breakpoints."""
+    ends = [None, *sorted({-h[0] / h[1] for h in g.breakplanes}), None]
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if lo is None:
+            sample = Fraction(0) if hi is None else hi - 1
+        else:
+            sample = lo + 1 if hi is None else (lo + hi) / 2
+        pieces.append((lo, hi, *g.component_at((sample,))))
+    return pieces
 
 
 def _integrate_trapezoid(f: PwlFunction, lo: Fraction, hi: Fraction) -> Fraction:
-    """1-D integral: the function is affine between consecutive breakpoints,
-    so each piece contributes an exact trapezoid."""
-    knots = [lo] + [t for t in _breakpoints_1d(f) if lo < t < hi] + [hi]
+    """1-D integral: each piece (β, α) contributes (y − x)(β + α(x + y)/2)
+    over its part [x, y] of [lo, hi]."""
     total = Fraction(0)
-    for x, y in zip(knots, knots[1:]):
-        total += (y - x) * (pwl_eval(f, (x,)) + pwl_eval(f, (y,))) / 2
+    for a, b, beta, alpha in _pieces_1d(f):
+        x = lo if a is None else max(a, lo)
+        y = hi if b is None else min(b, hi)
+        if x < y:
+            total += (y - x) * (beta + alpha * (x + y) / 2)
     return total
 
 
@@ -292,7 +308,7 @@ def integrate_box(f, box: Box, method: str = "auto") -> Fraction:
     """Exact integral of the function over the box.
 
     ``method`` selects the evaluation strategy: 'trapezoid' is the
-    one-dimensional piecewise-trapezoid route, 'cells' the general
+    one-dimensional route (one trapezoid per affine piece), 'cells' the general
     decomposition pipeline, and 'auto' picks the former exactly when the
     function has one input.  Both routes are exact and agree.
     """
@@ -556,10 +572,10 @@ def feature_contribution(subject, a, i: int, eps):
 
     Works on the one-dimensional restriction g with every other input pinned
     at a: the answer is the infimum of |t − a_i| over {t : |g(t) − g(a_i)| >
-    eps}, found exactly by scanning g's pieces — threshold crossings interior
-    to a piece, plus breakpoints where the bound is exceeded or is attained
-    and strictly exceeded on an adjacent piece.  Returns None when the output
-    never moves by more than eps.
+    eps}, found exactly by scanning g's affine pieces once — threshold
+    crossings interior to a piece, plus breakpoints where the gap exceeds
+    eps, or equals eps and an adjacent piece's slope makes it grow.  Returns
+    None when the output never moves by more than eps.
     """
     f = _as_pwl(subject)
     m = f.m
@@ -575,48 +591,25 @@ def feature_contribution(subject, a, i: int, eps):
     g = pwl_restrict(f, {j: a[j - 1] for j in range(1, m + 1) if j != i})
     t0 = a[i - 1]
     center = pwl_eval(g, (t0,))
-    knots = _breakpoints_1d(g)
-
+    pieces = _pieces_1d(g)
     candidates = []
 
     # Threshold crossings strictly inside a piece: beyond the crossing the
     # gap exceeds eps within the same piece, so the crossing bounds the
     # satisfying set.
-    bounds = [(None, knots[0] if knots else None)]
-    for lo, hi in zip(knots, knots[1:]):
-        bounds.append((lo, hi))
-    if knots:
-        bounds.append((knots[-1], None))
-    for lo, hi in bounds:
-        if lo is None and hi is None:
-            sample = Fraction(0)
-        elif lo is None:
-            sample = hi - 1
-        elif hi is None:
-            sample = lo + 1
-        else:
-            sample = (lo + hi) / 2
-        beta, alpha = g.component_at((sample,))
-        if alpha == 0:
-            continue
-        for target in (center + eps, center - eps):
+    for lo, hi, beta, alpha in pieces:
+        for target in (center + eps, center - eps) if alpha else ():
             root = (target - beta) / alpha
             if (lo is None or lo < root) and (hi is None or root < hi):
                 candidates.append(abs(root - t0))
 
     # Breakpoints: the bound may be exceeded at the knot itself, or attained
-    # there and exceeded immediately beyond on an adjacent piece.
-    for idx, k in enumerate(knots):
-        gap_here = abs(pwl_eval(g, (k,)) - center)
-        if gap_here > eps:
+    # there and exceeded immediately beyond, where the left piece's slope
+    # or the right piece's makes the gap grow.
+    for (_lo, k, beta, left), (_k, _hi, _beta, right) in zip(pieces, pieces[1:]):
+        gap = beta + left * k - center
+        if abs(gap) > eps or (abs(gap) == eps and (left * gap < 0 or right * gap > 0)):
             candidates.append(abs(k - t0))
-        elif gap_here == eps:
-            left = (k - knots[idx - 1]) / 2 if idx > 0 else Fraction(1)
-            right = (knots[idx + 1] - k) / 2 if idx + 1 < len(knots) else Fraction(1)
-            for probe in (k - left, k + right):
-                if abs(pwl_eval(g, (probe,)) - center) > eps:
-                    candidates.append(abs(k - t0))
-                    break
 
     if not candidates:
         return None

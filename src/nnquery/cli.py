@@ -63,7 +63,7 @@ class _Rational(click.ParamType):
     def convert(self, value, param, ctx):
         try:
             return rational(value)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             self.fail(f"{value!r} is not a rational like 3, -2/5 or 0.25", param, ctx)
 
 

@@ -44,8 +44,9 @@ def rational(x) -> Fraction:
     """Convert to an exact Fraction.
 
     Accepts ints, Fractions, and strings ("3", "-2/5", "1.25" — decimal
-    strings are exact).  Binary floats are rejected: a Python float denotes
-    a base-2 approximation, and silently accepting one would contaminate an
+    strings are exact); a malformed string or a zero denominator raises
+    ValueError.  Binary floats are rejected: a Python float denotes a base-2
+    approximation, and silently accepting one would contaminate an
     otherwise exact pipeline.
     """
     if isinstance(x, bool):
@@ -55,7 +56,10 @@ def rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError(
             f"refusing binary float {x!r}; pass a string like '1.25' or 'p/q'"

@@ -84,30 +84,17 @@ def _project_planes(planes, i: int):
 
     Vertical planes (zero coefficient on x_i) descend unchanged minus the
     dropped coordinate; every non-parallel pair of non-vertical planes
-    contributes the projection of its intersection.
+    contributes the projection of its intersection.  ``make_arrangement``
+    canonicalizes the candidates and drops duplicates.
     """
-    seen = set()
-    out = []
-
-    def add(coeffs):
-        h = canonicalize(coeffs)
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-
-    nonvertical = []
-    for h in planes:
-        if h[i] == 0:
-            add(h[:i])
-        else:
-            nonvertical.append(h)
+    candidates = [h[:i] for h in planes if h[i] == 0]
+    nonvertical = [h for h in planes if h[i] != 0]
     for h1, h2 in itertools.combinations(nonvertical, 2):
         lam = h1[i] / h2[i]
         if all(h1[j] == lam * h2[j] for j in range(1, i)):
             continue  # parallel: proportional linear parts, empty intersection
-        cand = tuple(h1[j] - lam * h2[j] for j in range(i))
-        add(cand)
-    return tuple(out)
+        candidates.append(tuple(h1[j] - lam * h2[j] for j in range(i)))
+    return make_arrangement(i - 1, candidates).hyperplanes
 
 
 def mapping_value(h, y) -> Fraction:

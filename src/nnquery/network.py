@@ -92,10 +92,12 @@ class Network:
         return len(self.hidden) + 1
 
     def layer_ids(self, k: int) -> list:
-        """Neuron ids of layer k: 0 = inputs, 1..len(hidden) = hidden, -1 = outputs."""
+        """Neuron ids of layer k: 0 = inputs, 1..len(hidden) = hidden, depth = outputs."""
+        if not 0 <= k <= self.depth:
+            raise ValueError(f"no layer {k}: layers are numbered 0..{self.depth}")
         if k == 0:
             return [NeuronId("input", i + 1) for i in range(self.inputs)]
-        if k == -1 or k == len(self.hidden) + 1:
+        if k == self.depth:
             return [NeuronId("output", j + 1) for j in range(len(self.outputs))]
         return [NeuronId("hidden", i + 1, k) for i in range(len(self.hidden[k - 1]))]
 
@@ -242,30 +244,20 @@ def to_structure(net: Network, vals=None) -> WeightedStructure:
     if vals is not None and len(vals) != m:
         raise ValueError(f"expected {m} input values, got {len(vals)}")
     vocab = graph_vocabulary(m, n)
-    layers = [net.layer_ids(0)]
-    for k in range(1, len(net.hidden) + 1):
-        layers.append(net.layer_ids(k))
-    layers.append(net.layer_ids(-1))
+    layers = [net.layer_ids(k) for k in range(net.depth + 1)]
     domain = tuple(str(u) for layer in layers for u in layer)
 
     edges = set()
     wmap = {}
     bmap = {(str(u),): BOT for u in layers[0]}
-    for k, layer in enumerate(net.hidden, start=1):
-        for i, nr in enumerate(layer):
-            uid = str(NeuronId("hidden", i + 1, k))
+    for prev, ids, neurons in zip(layers, layers[1:], (*net.hidden, net.outputs)):
+        for u, nr in zip(ids, neurons):
+            uid = str(u)
             bmap[(uid,)] = nr.bias
-            for p, wgt in zip(layers[k - 1], nr.weights):
+            for p, wgt in zip(prev, nr.weights):
                 edges.add((str(p), uid))
                 if wgt != 0:
                     wmap[(str(p), uid)] = wgt
-    for j, nr in enumerate(net.outputs):
-        uid = str(NeuronId("output", j + 1))
-        bmap[(uid,)] = nr.bias
-        for p, wgt in zip(layers[-2], nr.weights):
-            edges.add((str(p), uid))
-            if wgt != 0:
-                wmap[(str(p), uid)] = wgt
 
     weights = {"b": bmap, "w": wmap}
     defaults = {"b": BOT, "w": Fraction(0)}
@@ -354,11 +346,7 @@ def useless_neurons(net: Network, vals, eps) -> set:
     base = forward(net, vals)
 
     direct = set()
-    hidden_ids = [
-        NeuronId("hidden", i + 1, k)
-        for k, layer in enumerate(net.hidden, start=1)
-        for i in range(len(layer))
-    ]
+    hidden_ids = [z for k in range(1, net.depth) for z in net.layer_ids(k)]
     for z in hidden_ids:
         ablated = forward(_silenced(net, z), vals)
         if all(abs(a - b) < eps for a, b in zip(ablated, base)):

@@ -387,16 +387,20 @@ def pwl_from_json(text: str) -> PwlFunction:
     orientation its '+' and '-' are swapped in every position.
     """
     doc = json.loads(text)
-    m = doc["inputs"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("inputs must be a positive integer")
+    if not isinstance(doc, dict):
+        raise ValueError("a PWL document must be a JSON object")
     try:
+        m = doc["inputs"]
         written = [tuple(rational(a) for a in h) for h in doc["breakplanes"]]
         polys = [
             (p["position"], tuple(rational(a) for a in p["component"])) for p in doc["polytopes"]
         ]
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from e
     except TypeError as e:
         raise ValueError(f"malformed entry: {e}") from e
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError("inputs must be a positive integer")
     if any(len(h) != m + 1 for h in written):
         raise ValueError(f"breakplane of wrong length for {m} inputs")
     planes = tuple(canonicalize(h) for h in written)

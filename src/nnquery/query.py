@@ -2,9 +2,10 @@
 
 The query language is first-order logic over the reals with rational
 linear arithmetic, comparisons, boolean connectives, quantifiers, and a
-function symbol ``F`` denoting the network's input→output map.  Syntactic
-sugar (``abs``, ``min``/``max``, distance helpers, inline ``F`` inside
-expressions) is compiled away by normalization.
+function symbol ``F`` denoting the network's input→output map.  One
+normalizer pass over the atoms case-splits ``abs``/``min``/``max`` (and so
+the distance helpers), rewrites ``a -> b`` as ``not a or b`` and makes
+``F(x⃗) = y`` an f-atom; F inside other terms is then pulled into f-atoms.
 
 Evaluation is exact and geometric.  A query is normalized into an *ordered
 prenex* form — free variables first, then the quantified variables in
@@ -447,7 +448,8 @@ class _QueryParser:
             if val.startswith("__"):
                 raise QueryError("variable names starting with '__' are reserved")
             return xlin_var(val)
-        raise QueryError(f"expected an expression at position {at}, found {val or 'end of input'!r}")
+        found = val or "end of input"
+        raise QueryError(f"expected an expression at position {at}, found {found!r}")
 
 
 def parse_query(text: str, m: int):
@@ -560,59 +562,34 @@ def _rename_and_substitute(node, env, params, free_order, gensym):
     return _map_formula(node, _rename_and_substitute, env, params, free_order, gensym)
 
 
-def _find_sugar(e):
-    """Innermost sugar node (abs/min/max) whose operands are sugar-free."""
-    for c in _expr_children(e):
-        found = _find_sugar(c)
-        if found is not None:
-            return found
-    return e if isinstance(e, (XAbs, XMin, XMax)) else None
+def _split(e, k):
+    """k applied to e with its abs/min/max case-split away.
 
+    The children are split first, left to right, so the innermost, then
+    leftmost, sugar is split outermost; each branch conjoins the guard that
+    selects it with k of the sugar-free expression.  Nodes are rebuilt
+    without folding, so F arguments keep the shapes extraction compares."""
+    children = _expr_children(e)
 
-def _replace_expr(e, target, repl):
-    """Replace one node (by identity) inside an expression."""
-    if e is target:
-        return repl
-    return _rebuild_expr(e, [_replace_expr(c, target, repl) for c in _expr_children(e)])
-
-
-def _desugar_atom(atom: PCmp):
-    """One case-split step for the innermost abs/min/max in the atom, or
-    None when the atom is sugar-free."""
-    for side in ("lhs", "rhs"):
-        s = _find_sugar(getattr(atom, side))
-        if s is None:
-            continue
-
-        def with_slot(repl):
-            if side == "lhs":
-                return PCmp(atom.rel, _replace_expr(atom.lhs, s, repl), atom.rhs)
-            return PCmp(atom.rel, atom.lhs, _replace_expr(atom.rhs, s, repl))
-
-        zero = xlin_const(0)
-        if isinstance(s, XAbs):
+    def rest(done):
+        if len(done) < len(children):
+            return _split(children[len(done)], lambda c: rest(done + (c,)))
+        node = _rebuild_expr(e, done)
+        if isinstance(node, XAbs):
+            zero = xlin_const(0)
             return POr(
-                PAnd(PCmp(">=", s.a, zero), with_slot(s.a)),
-                PAnd(PCmp("<", s.a, zero), with_slot(_e_neg(s.a))),
+                PAnd(PCmp(">=", node.a, zero), k(node.a)),
+                PAnd(PCmp("<", node.a, zero), k(_e_neg(node.a))),
             )
-        if isinstance(s, XMin):
+        if isinstance(node, (XMin, XMax)):
+            low = isinstance(node, XMin)
             return POr(
-                PAnd(PCmp("<=", s.a, s.b), with_slot(s.a)),
-                PAnd(PCmp(">", s.a, s.b), with_slot(s.b)),
+                PAnd(PCmp("<=" if low else ">=", node.a, node.b), k(node.a)),
+                PAnd(PCmp(">" if low else "<", node.a, node.b), k(node.b)),
             )
-        # XMax
-        return POr(
-            PAnd(PCmp(">=", s.a, s.b), with_slot(s.a)),
-            PAnd(PCmp("<", s.a, s.b), with_slot(s.b)),
-        )
-    return None
+        return k(node)
 
-
-def _desugar(node):
-    if isinstance(node, PCmp):
-        step = _desugar_atom(node)
-        return node if step is None else _desugar(step)
-    return _map_formula(node, _desugar)
+    return rest(())
 
 
 def _is_plain_var(e):
@@ -624,20 +601,26 @@ def _is_plain_var(e):
     )
 
 
-def _convert_candidates(node):
-    """Comparisons of the exact shape F(x⃗) = y with pairwise-distinct plain
-    variables become structural f-atoms untouched by extraction."""
+def _atom(rel, lhs, rhs):
+    """A sugar-free comparison; F(x⃗) = y over pairwise-distinct plain
+    variables becomes a structural f-atom untouched by extraction."""
+    for fe, other in ((lhs, rhs), (rhs, lhs)) if rel == "=" else ():
+        if isinstance(fe, XF) and all(_is_plain_var(a) for a in (*fe.args, other)):
+            names = [a.coeffs[0][0] for a in (*fe.args, other)]
+            if len(set(names)) == len(names):
+                return PFAtom(tuple(names[:-1]), names[-1])
+    return PCmp(rel, lhs, rhs)
+
+
+def _desugar(node):
+    """The one pass from the renamed tree to atoms: abs/min/max are
+    case-split (``_split``), a -> b becomes not a or b, and F(x⃗) = y atoms
+    become f-atoms."""
     if isinstance(node, PCmp):
-        if node.rel == "=":
-            for fe, other in ((node.lhs, node.rhs), (node.rhs, node.lhs)):
-                if isinstance(fe, XF) and _is_plain_var(other):
-                    if all(_is_plain_var(a) for a in fe.args):
-                        names = [a.coeffs[0][0] for a in fe.args]
-                        result = other.coeffs[0][0]
-                        if len(set(names)) == len(names) and result not in names:
-                            return PFAtom(tuple(names), result)
-        return node
-    return _map_formula(node, _convert_candidates)
+        return _split(node.lhs, lambda a: _split(node.rhs, lambda b: _atom(node.rel, a, b)))
+    if isinstance(node, PImplies):
+        return POr(PNot(_desugar(node.a)), _desugar(node.b))
+    return _map_formula(node, _desugar)
 
 
 def _expr_vars(e, out: set):
@@ -750,20 +733,11 @@ def _extract_f_atoms(node, gensym):
     return _map_formula(node, _extract_f_atoms, gensym)
 
 
-def _strip_implies(node):
-    if isinstance(node, PImplies):
-        return POr(PNot(_strip_implies(node.a)), _strip_implies(node.b))
-    return _map_formula(node, _strip_implies)
-
-
 def _prenex(node):
     """Pull quantifiers to a prefix (bound names are already distinct)."""
-    if isinstance(node, PExists):
+    if isinstance(node, (PExists, PForall)):
         prefix, matrix = _prenex(node.body)
-        return [("exists", node.var)] + prefix, matrix
-    if isinstance(node, PForall):
-        prefix, matrix = _prenex(node.body)
-        return [("forall", node.var)] + prefix, matrix
+        return [("exists" if isinstance(node, PExists) else "forall", node.var)] + prefix, matrix
     if isinstance(node, PNot):
         prefix, matrix = _prenex(node.body)
         flipped = [
@@ -878,12 +852,13 @@ def _lower_matrix(node, pos):
 def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPrenexQuery:
     """Bring a query into ordered prenex normal form.
 
-    Steps: substitute parameters; case-split abs/min/max; pull F
-    occurrences into f-atoms with fresh variables; rewrite
-    non-strict/equality comparisons into boolean formulas over strict
-    atoms; prenex with capture-avoiding renaming; assign the total variable
-    order with free variables first.  An f-atom's variables may take any
-    places in that order.
+    Steps: rename bound variables apart and substitute parameters; one
+    pass over the atoms case-splits abs/min/max, rewrites implications and
+    turns F(x⃗) = y into f-atoms; pull the remaining F occurrences into
+    f-atoms with fresh variables; prenex; rewrite non-strict/equality
+    comparisons into boolean formulas over strict atoms; assign the total
+    variable order with free variables first.  An f-atom's variables may
+    take any places in that order.
     """
     params = {k: rational(v) for k, v in (parameters or {}).items()}
     gensym = _Gensym()
@@ -899,10 +874,7 @@ def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPr
         free_vars = tuple(free_order)
     else:
         free_vars = tuple(seen_free)
-    tree = _desugar(tree)
-    tree = _strip_implies(tree)
-    tree = _convert_candidates(tree)
-    tree = _extract_f_atoms(tree, gensym)
+    tree = _extract_f_atoms(_desugar(tree), gensym)
     tree = _pull_occurrences(tree, None, gensym)
 
     prefix, matrix = _prenex(tree)
@@ -1046,9 +1018,8 @@ def evaluate_query(subject, query, parameters=None, free_order=None) -> QueryRes
     if d == 0:
         return QueryResult(truth=_predicate(None, None, q.matrix)(()))
 
-    has_f = any(isinstance(n, MFAtom) for n in _matrix_nodes(q.matrix))
     f = None
-    if has_f:
+    if any(isinstance(n, MFAtom) for n in _matrix_nodes(q.matrix)):
         f = subject if isinstance(subject, PwlFunction) else pwl_from_network(subject)
 
     arr = build_query_arrangement(f, q)

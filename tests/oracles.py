@@ -795,14 +795,17 @@ def oracle_feature_contribution_1d(net: Network, a, eps):
                 candidates.append(abs(x - a))
     knots = [p for p, _q, _s, _t in pieces[1:]]
     for i, k in enumerate(knots):
-        gap = abs(f(k) - c)
-        if gap > eps:
+        gap = f(k) - c
+        if abs(gap) > eps:
             candidates.append(abs(k - a))
-        elif gap == eps:
+        elif abs(gap) == eps:
             left = (k - knots[i - 1]) / 2 if i > 0 else Fraction(1)
             right = (knots[i + 1] - k) / 2 if i + 1 < len(knots) else Fraction(1)
             for probe in (k - left, k + right):
-                if abs(f(probe) - c) > eps:
+                # the gap grows away from the knot only where it keeps its
+                # sign; a far probe may have passed through zero to -gap
+                moved = f(probe) - c
+                if abs(moved) > eps and moved * gap > 0:
                     candidates.append(abs(k - a))
                     break
     return min(candidates) if candidates else None

@@ -622,6 +622,20 @@ class TestFeatureContribution:
         r = feature_contribution(relu_net(), (-1,), 1, F(1, 4))
         assert r == F(5, 4)
 
+    def test_knot_at_the_bound_where_the_gap_turns_back(self):
+        # g(t) = -3/2 up to -1/3, rises with slope 2 to -7/6 at -1/6, then
+        # falls with slope -1.  From a = -1 (g = -3/2, eps = 1/3) the gap is
+        # exactly eps at the knot -1/6 but shrinks on both sides of it, so
+        # the knot does not bound the set; the output first moves by more
+        # than eps beyond t = 1/2, at distance 3/2
+        net = Network(
+            1,
+            ((Neuron(F(1, 2), (F(3),)), Neuron(F(1, 3), (F(1),))),),
+            (Neuron(F(-3, 2), (F(-1), F(2))),),
+        )
+        assert feature_contribution(net, (-1,), 1, F(1, 3)) == F(3, 2)
+        assert oracle_feature_contribution_1d(net, -1, F(1, 3)) == F(3, 2)
+
     def test_agrees_with_independent_oracle(self):
         rng = random.Random(2718)
         hits = 0

@@ -437,6 +437,14 @@ class TestExitCodes:
         r = invoke(["eval", "--model", models["relu"], "--input", "1/0"])
         assert r.exit_code == 2, r.output
 
+    def test_zero_denominator_in_the_model_exits_3(self, models):
+        path = models["root"] / "zero_denominator.json"
+        path.write_text(json.dumps({"inputs": 1, "outputs": [{"bias": "1/0", "weights": ["1"]}]}))
+        r = invoke(["eval", "--model", str(path), "--input", "1"])
+        assert r.exit_code == 3, r.output
+        assert "error:" in r.stderr
+        assert r.stdout == ""
+
     def test_malformed_value_is_checked_before_the_model_is_read(self, models):
         missing = str(models["root"] / "nope.json")
         r = invoke(["eval", "--model", missing, "--input", "1,oops"])

@@ -156,3 +156,14 @@ def test_every_library_function_has_a_caller():
             and uses[node.name] == list(_names(node)).count(node.name)
         ]
     assert not found, f"library functions with no caller outside the tests: {found}"
+
+
+def test_no_line_over_100_characters():
+    # a line count that falls by packing code into long lines shows nothing
+    found = [
+        f"{path.name}:{n} ({len(line)})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert not found, f"lines over 100 characters in the library: {found}"

@@ -153,6 +153,22 @@ def test_to_structure_rejects_wrong_number_of_values(vals):
         to_structure(net, vals)
 
 
+def test_zero_denominator_in_a_model_is_a_value_error():
+    doc = json.loads(RELU_NET)
+    doc["hidden"][0][0]["bias"] = "1/0"
+    with pytest.raises(ValueError, match="zero denominator"):
+        load_network(json.dumps(doc))
+
+
+def test_layer_ids_number_the_output_layer_by_depth():
+    net = load_network(RELU_NET)
+    layers = [[str(u) for u in net.layer_ids(k)] for k in range(net.depth + 1)]
+    assert layers == [["in1"], ["h1_1"], ["out1"]]
+    for k in (-1, net.depth + 1):
+        with pytest.raises(ValueError, match="no layer"):
+            net.layer_ids(k)
+
+
 def test_affine_eval_term_depth_one():
     term = build_eval_term(2, 1, 1)
     net = load_network(

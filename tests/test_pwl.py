@@ -379,6 +379,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             pwl_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[]",
+            '"f"',
+            "{}",
+            '{"breakplanes": [], "polytopes": []}',
+            '{"inputs": 1, "polytopes": []}',
+            '{"inputs": 1, "breakplanes": []}',
+            '{"inputs": 1, "breakplanes": [], "polytopes": [{"component": ["0", "1"]}]}',
+            '{"inputs": 1, "breakplanes": [], "polytopes": [{"position": ""}]}',
+        ],
+        ids=[
+            "array", "string", "empty", "no-inputs", "no-breakplanes", "no-polytopes",
+            "no-position", "no-component",
+        ],
+    )
+    def test_missing_structure_rejected(self, doc):
+        with pytest.raises(ValueError):
+            pwl_from_json(doc)
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             pwl_from_json('{"inputs": 0, "breakplanes": [], "polytopes": []}')

@@ -1,5 +1,6 @@
 """Tests for query parsing, normalization, and geometric evaluation."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -682,3 +683,88 @@ class TestOpenQuerySolutionSets:
                 probes.add(Fraction(0))
             for v in sorted(probes):
                 assert covered(v) == predicate(net, v), (text, v)
+
+
+# ---------------------------------------------------------------------------
+# Sugar: abs/min/max/dist against their sugar-free equivalents
+# ---------------------------------------------------------------------------
+
+
+def _random_linear(rng, vs):
+    """A random linear expression over the variables, as query text."""
+    terms = [f"{rng.choice(('1', '2', '1/2', '-1', '-3/2'))} * {v}" for v in vs]
+    return " + ".join([*rng.sample(terms, rng.randint(1, len(terms))), rng.choice("0123")])
+
+
+def _random_sugar(rng, vs, depth=0):
+    """A sugar tree: ('lin', text), ('abs', s), ('min' or 'max', s, s), or
+    ('dist_linf' or 'dist_l1', ((u, p), ...)) over linear coordinates."""
+    sugar = ["abs", "min", "max", "dist_linf", "dist_l1"]
+    kind = "lin" if depth == 2 else rng.choice(sugar + ["lin"] * (2 * depth))
+    if kind == "lin":
+        return ("lin", _random_linear(rng, vs))
+    if kind == "abs":
+        return ("abs", _random_sugar(rng, vs, depth + 1))
+    if kind in ("min", "max"):
+        return (kind, _random_sugar(rng, vs, depth + 1), _random_sugar(rng, vs, depth + 1))
+    n = rng.randint(1, 2)
+    return (kind, tuple((_random_linear(rng, vs), _random_linear(rng, vs)) for _ in range(n)))
+
+
+def _sugar_text(s):
+    if s[0] == "lin":
+        return s[1]
+    if s[0] == "abs":
+        return f"abs({_sugar_text(s[1])})"
+    if s[0] in ("min", "max"):
+        return f"{s[0]}({_sugar_text(s[1])}, {_sugar_text(s[2])})"
+    us, ps = zip(*s[1])
+    return f"{s[0]}({', '.join(us)}; {', '.join(ps)})"
+
+
+def _sugar_free(s, rel, c):
+    """The text of s rel c (rel '<' or '>') with no abs, min, max or dist."""
+    every = " and " if rel == "<" else " or "
+    if s[0] == "lin":
+        return f"{s[1]} {rel} {c}"
+    if s[0] == "abs":  # |e| < c iff e < c and e > -c; |e| > c iff e > c or e < -c
+        flip = ">" if rel == "<" else "<"
+        return f"({_sugar_free(s[1], rel, c)}){every}({_sugar_free(s[1], flip, f'-1 * ({c})')})"
+    if s[0] in ("min", "max"):  # max(a, b) < c iff a < c and b < c, and dually
+        join = every if s[0] == "max" else (" or " if rel == "<" else " and ")
+        return join.join(f"({_sugar_free(x, rel, c)})" for x in s[1:])
+    diffs = [f"1 * ({u} - ({p}))" for u, p in s[1]]
+    if s[0] == "dist_linf":  # the largest |u_i - p_i|
+        return every.join(f"({_sugar_free(('abs', ('lin', d)), rel, c)})" for d in diffs)
+    # dist_l1: |u_1 - p_1| + |u_2 - p_2| < c iff every signed sum is below c
+    return every.join(
+        " + ".join(f"{sign}{d}" for sign, d in zip(signs, diffs)) + f" {rel} {c}"
+        for signs in itertools.product(("", "-"), repeat=len(diffs))
+    )
+
+
+def test_sugar_agrees_with_its_sugar_free_equivalent(relu_net):
+    rng = random.Random(20261019)
+    truths = []
+    for _ in range(60):
+        vs = rng.sample(["x", "y"], rng.randint(1, 2))
+        prefix = "".join(f"{rng.choice(('exists', 'forall'))} {v} . " for v in vs)
+        sugared, plain = [], []
+        for _ in range(rng.randint(1, 2)):
+            s, rel, c = _random_sugar(rng, vs), rng.choice("<>"), _random_linear(rng, vs)
+            mirrored = rng.random() < 0.5  # c > s is s < c, with the sugar on the right
+            other = "<" if rel == ">" else ">"
+            text = f"{c} {other} {_sugar_text(s)}" if mirrored else f"{_sugar_text(s)} {rel} {c}"
+            sugared.append(f"({text})")
+            plain.append(f"({_sugar_free(s, rel, c)})")
+        join = rng.choice((" and ", " or "))
+        got = evaluate_query(relu_net, prefix + "(" + join.join(sugared) + ")").truth
+        want = evaluate_query(relu_net, prefix + "(" + join.join(plain) + ")").truth
+        assert got == want, (prefix, sugared, plain)
+        truths.append(got)
+    assert 15 <= truths.count(True) <= 45
+
+
+def test_zero_denominator_parameter_is_a_value_error(relu_net):
+    with pytest.raises(ValueError, match="zero denominator"):
+        evaluate_query(relu_net, "F(x) > p", parameters={"p": "1/0"})
