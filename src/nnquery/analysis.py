@@ -220,7 +220,7 @@ def _pieces_1d(g: PwlFunction):
     """The affine pieces of a one-input function, left to right: (lo, hi, β,
     α) with g(t) = β + α·t on the open interval (lo, hi), where None is an
     infinite end.  Consecutive pieces meet at g's breakpoints."""
-    ends = [None, *sorted({-h[0] / h[1] for h in g.breakplanes}), None]
+    ends = [None, *sorted({Fraction(-h[0], h[1]) for h in g.breakplanes}), None]
     pieces = []
     for lo, hi in zip(ends, ends[1:]):
         if lo is None:

@@ -16,9 +16,15 @@ Checks that a decomposition is adapted to its arrangement (membership,
 sign constancy inside cells, one cell per level for every point) live with
 the test oracles, which compute section heights from the cells alone.
 
-All coordinates are exact rationals.  Hyperplanes are stored canonically:
-integer coefficients with gcd 1 and a positive leading linear coefficient,
-so that equal point sets have equal representations.
+All coordinates are exact rationals (``Fraction``).  Hyperplanes are
+stored canonically as tuples of Python ``int``: coprime coefficients with a
+positive leading linear coefficient, so that equal point sets have equal
+representations.  Int and ``Fraction`` tuples of equal value compare and
+hash equal, so a plane may be looked up in any exact form.  The inner
+loops stay in integers: projection combines two planes as
+h2[i]·h1 − h1[i]·h2, and a stack is ordered by the integer heights of its
+sections over the base sample's common denominator (``_stack_elements``),
+which order and group exactly as the rational heights do.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import itemgetter
 
 from .core import rational
@@ -40,20 +45,22 @@ from .core import rational
 def canonicalize(coeffs) -> tuple:
     """Canonical form of the hyperplane a_0 + a_1·x_1 + … + a_d·x_d = 0.
 
-    Scales to coprime integers with the first nonzero linear coefficient
-    positive.  Rejects functionals with an all-zero linear part (they are
-    not hyperplanes).
+    Scales to coprime Python ``int``s with the first nonzero linear
+    coefficient positive.  Rejects functionals with an all-zero linear part
+    (they are not hyperplanes).
     """
-    coeffs = tuple(rational(a) for a in coeffs)
-    if all(a == 0 for a in coeffs[1:]):
+    coeffs = tuple(coeffs)
+    if not all(type(a) is int for a in coeffs):
+        qs = [rational(a) for a in coeffs]
+        scale = math.lcm(*(q.denominator for q in qs))
+        coeffs = tuple(q.numerator * (scale // q.denominator) for q in qs)
+    first = next((a for a in coeffs[1:] if a != 0), None)
+    if first is None:
         raise ValueError("hyperplane has all-zero linear part")
-    scale = reduce(math.lcm, (a.denominator for a in coeffs), 1)
-    ints = [int(a * scale) for a in coeffs]
-    g = reduce(math.gcd, ints)
-    first = next(i for i in range(1, len(ints)) if ints[i] != 0)
-    if ints[first] < 0:
+    g = math.gcd(*coeffs)
+    if first < 0:
         g = -g
-    return tuple(Fraction(v, g) for v in ints)
+    return tuple(a // g for a in coeffs)
 
 
 @dataclass(frozen=True)
@@ -84,16 +91,18 @@ def _project_planes(planes, i: int):
 
     Vertical planes (zero coefficient on x_i) descend unchanged minus the
     dropped coordinate; every non-parallel pair of non-vertical planes
-    contributes the projection of its intersection.  ``make_arrangement``
-    canonicalizes the candidates and drops duplicates.
+    contributes the projection of its intersection, h2[i]·h1 − h1[i]·h2,
+    formed in integers.  A pair is parallel exactly when that combination's
+    linear part vanishes.  ``make_arrangement`` canonicalizes the candidates
+    and drops duplicates.
     """
     candidates = [h[:i] for h in planes if h[i] == 0]
     nonvertical = [h for h in planes if h[i] != 0]
     for h1, h2 in itertools.combinations(nonvertical, 2):
-        lam = h1[i] / h2[i]
-        if all(h1[j] == lam * h2[j] for j in range(1, i)):
-            continue  # parallel: proportional linear parts, empty intersection
-        candidates.append(tuple(h1[j] - lam * h2[j] for j in range(i)))
+        a, b = h2[i], h1[i]
+        row = tuple(a * u - b * v for u, v in zip(h1[:i], h2[:i]))
+        if any(row[1:]):  # else parallel: empty intersection
+            candidates.append(row)
     return make_arrangement(i - 1, candidates).hyperplanes
 
 
@@ -105,7 +114,7 @@ def mapping_value(h, y) -> Fraction:
     total = h[0]
     for a, v in zip(h[1 : i], y):
         total += a * v
-    return -total / h[i]
+    return Fraction(-total, h[i])
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +159,48 @@ class CellDecomposition:
         return self.levels[level]
 
 
-def _stack_elements(planes_nonvertical, base_sample):
+def _stack_elements(planes_nonvertical, scaled, unit, base_sample):
     """The alternating sector/section stack over one base cell.
 
     Returns (stack, sections): ``stack`` holds (kind, lower, upper,
     sample_extension) tuples in bottom-up order, and ``sections[j]`` is the
-    stack index of the section of ``planes_nonvertical[j]``.  Mappings equal
-    at the base sample are equal over the whole base cell (delineability),
-    so grouping by sample value is exact.
+    stack index of the section of ``planes_nonvertical[j]``.
+
+    Heights are integers over one common denominator.  With the base sample
+    written as integer numerators n over its denominator den, plane j's
+    section lies at H_j/(unit·den), where H_j = g_0·den + Σ g_k·n_k and
+    g = ``scaled[j]`` is the plane times −unit/h_j[i] (an integer, as
+    ``unit`` is the lcm of the planes' coefficients on x_i).  Since unit·den
+    is positive, the keys H_j order and group the sections exactly as their
+    rational heights do, and mappings equal at the base sample are equal
+    over the whole base cell (delineability), so grouping by the keys is
+    exact.  The only ``Fraction``s made are the stack's samples.
     """
+    den = math.lcm(*(q.denominator for q in base_sample))
+    nums = [q.numerator * (den // q.denominator) for q in base_sample]
     groups = {}
-    for j, h in enumerate(planes_nonvertical):
-        groups.setdefault(mapping_value(h, base_sample), []).append(j)
-    sections = [0] * len(planes_nonvertical)
+    for j, g in enumerate(scaled):
+        key = g[0] * den
+        for a, n in zip(g[1:], nums):
+            key += a * n
+        groups.setdefault(key, []).append(j)
+    common = unit * den
+    sections = [0] * len(scaled)
     stack = []
     below = prev = None
-    for v, members in sorted(groups.items(), key=itemgetter(0)):
+    for key, members in sorted(groups.items(), key=itemgetter(0)):
         plane = planes_nonvertical[members[0]]
-        stack.append(("sector", below, plane, v - 1 if prev is None else (prev + v) / 2))
+        if prev is None:
+            t = Fraction(key - common, common)
+        else:
+            t = Fraction(prev + key, 2 * common)
+        stack.append(("sector", below, plane, t))
         for j in members:
             sections[j] = len(stack)
-        stack.append(("section", plane, plane, v))
-        below, prev = plane, v
-    stack.append(("sector", below, None, Fraction(0) if prev is None else prev + 1))
+        stack.append(("section", plane, plane, Fraction(key, common)))
+        below, prev = plane, key
+    last = Fraction(0) if prev is None else Fraction(prev + common, common)
+    stack.append(("sector", below, None, last))
     return stack, tuple(sections)
 
 
@@ -196,9 +224,11 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
     sections = {}
     for i in range(1, d + 1):
         nonvertical = [h for h in pools[i] if h[i] != 0]
+        unit = math.lcm(*(h[i] for h in nonvertical))
+        scaled = [tuple(-a * (unit // h[i]) for a in h[:i]) for h in nonvertical]
         new = []
         for base in levels[i - 1]:
-            stack, sections[base.id] = _stack_elements(nonvertical, base.sample)
+            stack, sections[base.id] = _stack_elements(nonvertical, scaled, unit, base.sample)
             for k, (kind, lo, hi, t) in enumerate(stack):
                 sample = base.sample + (t,)
                 if restrict is not None and not restrict(i, sample):

@@ -59,10 +59,11 @@ class PwlFunction:
     """Piecewise-linear function: breakplanes + one component per position.
 
     ``breakplanes`` is an ordered tuple of distinct canonical hyperplanes
-    in R^m (the refining stages index positions by them);
-    ``polytopes`` is an ordered tuple of (position, component) pairs where
-    position is a string over '+-=' (one character per breakplane) and
-    component is an affine coefficient tuple (a_0..a_m).
+    in R^m, each a tuple of coprime ``int``s (the refining stages index
+    positions by them); ``polytopes`` is an ordered tuple of (position,
+    component) pairs where position is a string over '+-=' (one character
+    per breakplane) and component is an affine coefficient tuple (a_0..a_m)
+    of ``Fraction``s.
     """
 
     m: int

@@ -199,7 +199,7 @@ def oracle_feasible(constraints, d: int) -> bool:
                 rest.append((f, strict))
             else:
                 bound = tuple(
-                    Fraction(0) if i == j else -f[i] / c for i in range(d + 1)
+                    Fraction(0) if i == j else Fraction(-f[i], c) for i in range(d + 1)
                 )
                 (lowers if c > 0 else uppers).append((bound, strict))
         work = rest
@@ -285,7 +285,7 @@ def oracle_pwl_proper(f) -> bool:
 def _height(h, y):
     """The value of x_i on the plane h = (a_0..a_i) over y in R^{i-1}."""
     i = len(h) - 1
-    return -(h[0] + sum(a * v for a, v in zip(h[1:i], y))) / h[i]
+    return Fraction(-(h[0] + sum(a * v for a, v in zip(h[1:i], y))), h[i])
 
 
 def _holds_last(cell, point):
@@ -466,7 +466,7 @@ def _cube_project(cube, j):
     for idx, (_, f, rel) in enumerate(cube):
         if rel == "eq" and f[j] != 0:
             c = f[j]
-            expr = tuple(-a / c if i != j else Fraction(0) for i, a in enumerate(f))
+            expr = tuple(Fraction(-a, c) if i != j else Fraction(0) for i, a in enumerate(f))
             out = []
             for t, (_, g, r) in enumerate(cube):
                 if t == idx:
@@ -484,7 +484,7 @@ def _cube_project(cube, j):
         if c == 0:
             rest.append(("lin", f, rel))
             continue
-        bound = tuple(Fraction(0) if i == j else -f[i] / c for i in range(len(f)))
+        bound = tuple(Fraction(0) if i == j else Fraction(-f[i], c) for i in range(len(f)))
         (lowers if c > 0 else uppers).append((bound, rel == "gt"))
     for lb, ls in lowers:
         for ub, us in uppers:

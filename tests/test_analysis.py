@@ -101,6 +101,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             Simplex(((0, 0, 0), (1, 0), (0, 1)))
 
+    def test_one_input_results_are_fractions(self):
+        # relu(t) + relu(2t - 1): the breakplane 2t - 1 = 0 is stored as
+        # the int tuple (-1, 2), so its breakpoint must be divided exactly
+        net = build_net(1, [[((1,), 0), ((2,), -1)]], (1, 1))
+        assert pwl_from_network(net).breakplanes == ((0, 1), (-1, 2))
+        total = integrate_box(net, Box(((0, 1),)))
+        assert type(total) is Fraction and total == F(3, 4)
+        # from 1/4 the output first moves by more than 1/4 past the knot 1/2
+        r = feature_contribution(net, (F(1, 4),), 1, F(1, 4))
+        assert type(r) is Fraction and r == F(1, 4)
+
 
 # ---------------------------------------------------------------------------
 # Simplex volume

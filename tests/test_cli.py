@@ -144,6 +144,15 @@ class TestOutputContract:
         assert doc["result"] == {"point": ["9/10"], "distance": "29/10"}
         assert doc["approx"]["result"] == {"point": ["0.900"], "distance": "2.900"}
 
+    def test_breakplanes_rendered_as_strings(self, models):
+        # canonical planes hold ints, which would render as bare JSON numbers
+        r = invoke(["extract-pwl", "--model", models["two_in"], "--decimal", "2"])
+        doc = payload_of(r)
+        for result in (doc["result"], doc["approx"]["result"]):
+            planes = result["breakplanes"]
+            assert planes and all(isinstance(a, str) for h in planes for a in h)
+        assert doc["result"]["breakplanes"] == [["0", "1", "1"], ["0", "1", "-1"]]
+
     def test_out_writes_file_instead_of_stdout(self, models, tmp_path):
         target = tmp_path / "res.json"
         r = invoke(

@@ -1,5 +1,6 @@
 """Tests for arrangements, projection, and cylindrical cell decompositions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from nnquery.geometry import (
     canonicalize,
     cd_stats,
     make_arrangement,
+    mapping_value,
     plane_sign,
 )
 from nnquery.linprog import affine_eval
@@ -24,6 +26,44 @@ from oracles import (
 )
 
 
+def rational_cd(arr, restrict=None):
+    """Reference decomposition by the rational route: pools projected with
+    the quotient h1[i]/h2[i], and each stack ordered by the ``Fraction``
+    heights ``mapping_value`` at its base sample.  Returns the pools, the
+    cells of each level as (id, kind, lower, upper, sample) in construction
+    order, and the section indices per base cell."""
+    pools = {arr.d: arr.hyperplanes}
+    for i in range(arr.d, 1, -1):
+        candidates = [h[:i] for h in pools[i] if h[i] == 0]
+        nonvertical = [h for h in pools[i] if h[i] != 0]
+        for h1, h2 in itertools.combinations(nonvertical, 2):
+            lam = Fraction(h1[i], h2[i])
+            if any(h1[j] != lam * h2[j] for j in range(1, i)):
+                candidates.append(tuple(h1[j] - lam * h2[j] for j in range(i)))
+        pools[i - 1] = make_arrangement(i - 1, candidates).hyperplanes
+    levels = [[((), "origin", None, None, ())]]
+    sections = {}
+    for i in range(1, arr.d + 1):
+        nonvertical = [h for h in pools[i] if h[i] != 0]
+        new = []
+        for cid, _kind, _lo, _hi, y in levels[-1]:
+            heights = [mapping_value(h, y) for h in nonvertical]
+            values = sorted(set(heights))
+            sections[cid] = tuple(2 * values.index(v) + 1 for v in heights)
+            stack, below, prev = [], None, None
+            for v in values:
+                plane = nonvertical[heights.index(v)]
+                stack.append(("sector", below, plane, v - 1 if prev is None else (prev + v) / 2))
+                stack.append(("section", plane, plane, v))
+                below, prev = plane, v
+            stack.append(("sector", below, None, Fraction(0) if prev is None else prev + 1))
+            for k, (kind, lo, hi, t) in enumerate(stack):
+                if restrict is None or restrict(i, y + (t,)):
+                    new.append((cid + (k,), kind, lo, hi, y + (t,)))
+        levels.append(new)
+    return pools, levels, sections
+
+
 def F(*args):
     return tuple(Fraction(a) for a in args)
 
@@ -31,6 +71,35 @@ def F(*args):
 def sign_at(h, p):
     v = affine_eval(h, p)
     return "+" if v > 0 else "-" if v < 0 else "0"
+
+
+def random_arrangements(seed, n=60):
+    """``n`` random (arrangement, restrict) pairs in R^1..R^3 with rational
+    inputs, vertical planes, planes concurrent through one hub point (so
+    that sections coincide over a base cell) and, in every fourth pair, a
+    pruning predicate; restrict is None otherwise."""
+    rng = random.Random(seed)
+    for trial in range(n):
+        d = 1 + trial % 3
+        hub = [Fraction(rng.randint(-4, 4), 2) for _ in range(d)]
+        planes = []
+        for _ in range(rng.randint(1, 5)):
+            lin = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+            kind = rng.random()
+            if d > 1 and kind < 0.3:
+                lin[-1] = Fraction(0)
+            if all(a == 0 for a in lin):
+                lin[rng.randrange(d)] = Fraction(1)
+            if kind > 0.55:  # through the hub
+                const = -sum(a * x for a, x in zip(lin, hub))
+            else:
+                const = Fraction(rng.randint(-3, 3))
+            planes.append((const, *lin))
+        restrict = None
+        if trial % 4 == 3:
+            bound = rng.randint(-1, 2)
+            restrict = lambda lvl, s, bound=bound: s[-1] <= bound
+        yield make_arrangement(d, planes), restrict
 
 
 class TestCanonicalize:
@@ -168,38 +237,54 @@ class TestBuildCd:
             assert full.index[c.id].sample == c.sample
 
 
+class TestIntegerKernel:
+    def test_matches_rational_route(self):
+        # integer heights over a common denominator order and group every
+        # stack exactly as the Fraction heights do
+        vertical = concurrent = pruned = 0
+        for arr, restrict in random_arrangements(53, n=90):
+            cd = build_cd(arr, restrict)
+            pools, levels, sections = rational_cd(arr, restrict)
+            assert cd.pools == pools
+            got = [
+                [(c.id, c.kind, c.lower, c.upper, c.sample) for c in level]
+                for level in cd.levels
+            ]
+            assert got == levels
+            assert cd.sections == sections
+            vertical += any(h[i] == 0 for i in pools for h in pools[i])
+            concurrent += any(len(set(s)) < len(s) for s in sections.values())
+            pruned += restrict is not None
+        assert vertical >= 20 and concurrent >= 10 and pruned >= 20
+
+    def test_canonical_planes_are_ints(self):
+        for raw in [(4, -2), ("1/2", "1/3", "-1/6"), F(0, -3, 6), (Fraction(5, 7), "2", 0)]:
+            h = canonicalize(raw)
+            assert all(type(a) is int for a in h), h
+        arr = make_arrangement(2, [("1/2", 1, "-3/4"), F(1, Fraction(2, 3), 1)])
+        cd = build_cd(arr)
+        assert all(type(a) is int for pool in cd.pools.values() for h in pool for a in h)
+
+    def test_samples_and_heights_are_fractions(self):
+        for arr, restrict in random_arrangements(7, n=30):
+            for c in build_cd(arr, restrict).index.values():
+                assert all(type(t) is Fraction for t in c.sample), c
+        # an int plane over the empty point: -1/2, not the float -0.5
+        v = mapping_value((1, 2), ())
+        assert type(v) is Fraction and v == Fraction(-1, 2)
+
+
 class TestCellQueries:
     def test_stack_signs_match_sample_signs(self):
         # the sign read from the stacks equals the sign at the sample for
         # every pool plane at every level, in both orientations, with
         # vertical planes, planes concurrent over a base cell and pruning
-        rng = random.Random(31)
         vertical = concurrent = pruned = 0
-        for trial in range(60):
-            d = 1 + trial % 3
-            hub = [Fraction(rng.randint(-4, 4), 2) for _ in range(d)]
-            planes = []
-            for _ in range(rng.randint(1, 5)):
-                lin = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-                kind = rng.random()
-                if d > 1 and kind < 0.3:
-                    lin[-1] = Fraction(0)
-                if all(a == 0 for a in lin):
-                    lin[rng.randrange(d)] = Fraction(1)
-                if kind > 0.55:  # through the hub, so planes meet over one base cell
-                    const = -sum(a * x for a, x in zip(lin, hub))
-                else:
-                    const = Fraction(rng.randint(-3, 3))
-                planes.append((const, *lin))
-            arr = make_arrangement(d, planes)
-            if trial % 4 == 3:
-                bound = rng.randint(-1, 2)
-                cd = build_cd(arr, restrict=lambda lvl, s: s[-1] <= bound)
-                pruned += len(cd.index) < len(build_cd(arr).index)
-            else:
-                cd = build_cd(arr)
+        for arr, restrict in random_arrangements(31):
+            cd = build_cd(arr, restrict)
+            pruned += len(cd.index) < len(build_cd(arr).index)
             concurrent += any(len(set(s)) < len(s) for s in cd.sections.values())
-            for level in range(1, d + 1):
+            for level in range(1, arr.d + 1):
                 for h in cd.pools[level]:
                     vertical += h[level] == 0
                     for raw in (h, tuple(-2 * a for a in h)):
