@@ -169,4 +169,7 @@ class WeightedStructure:
         m = self.weights.get(name, {})
         if tup in m:
             return m[tup]
-        return self.weight_defaults[name]
+        try:
+            return self.weight_defaults[name]
+        except KeyError:
+            raise ValueError(f"weight symbol {name!r} is not in the structure") from None

@@ -636,9 +636,13 @@ def parse_fosum(text: str, vocab: Vocabulary):
 # ---------------------------------------------------------------------------
 
 def _resolve_std(s: WeightedStructure, arg, v: dict):
-    if isinstance(arg, SVar):
-        return v[arg.name]
-    return s.const(arg.name)
+    try:
+        if isinstance(arg, SVar):
+            return v[arg.name]
+        return s.const(arg.name)
+    except KeyError:
+        kind = "variable" if isinstance(arg, SVar) else "constant"
+        raise ValueError(f"unbound {kind} {arg.name!r}") from None
 
 
 def eval_weight_term(s: WeightedStructure, t, v: dict) -> LiftedValue:
@@ -646,6 +650,8 @@ def eval_weight_term(s: WeightedStructure, t, v: dict) -> LiftedValue:
 
     Total: all partiality (division by zero, ⊥ weights) flows through ⊥.
     Summation enumerates domain tuples in domain order; an empty sum is 0.
+    A variable missing from v, or a constant or weight symbol missing from
+    the structure, raises ValueError.
     """
     if isinstance(t, TBottom):
         return BOT
@@ -682,7 +688,8 @@ def eval_weight_term(s: WeightedStructure, t, v: dict) -> LiftedValue:
 
 
 def eval_formula(s: WeightedStructure, f, v: dict) -> bool:
-    """Evaluate a formula to a classical boolean (quantifiers over the domain)."""
+    """Evaluate a formula to a classical boolean (quantifiers over the domain);
+    a missing variable or symbol raises ValueError as in eval_weight_term."""
     if isinstance(f, FRel):
         tup = tuple(_resolve_std(s, a, v) for a in f.args)
         return s.rel(f.symbol, tup)

@@ -2,10 +2,15 @@
 
 The query language is first-order logic over the reals with rational
 linear arithmetic, comparisons, boolean connectives, quantifiers, and a
-function symbol ``F`` denoting the network's input→output map.  One
-normalizer pass over the atoms case-splits ``abs``/``min``/``max`` (and so
-the distance helpers), rewrites ``a -> b`` as ``not a or b`` and makes
-``F(x⃗) = y`` an f-atom; F inside other terms is then pulled into f-atoms.
+function symbol ``F`` denoting the network's input→output map.  The parser
+reads every term as one linear form (``XLin``) over variables and nodes,
+a node being ``abs``, ``min``, ``max`` or ``F`` of linear forms, and reads
+``a -> b`` as ``not a or b``; arithmetic folds as it parses, so a product
+of two non-constant forms is rejected there.  One normalizer pass over the
+atoms case-splits the ``abs``/``min``/``max`` nodes (and so the distance
+helpers) and makes ``F(x⃗) = y`` an f-atom; the remaining F nodes are then
+pulled into f-atoms.  Every rewrite of a term (renaming, case-splitting,
+F extraction) maps it through ``_map_terms``.
 
 Evaluation is exact and geometric.  A query is normalized into an *ordered
 prenex* form — free variables first, then the quantified variables in
@@ -57,63 +62,52 @@ class QueryError(ValueError):
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
-# Expressions.  XLin is an eagerly-folded linear combination; the remaining
-# nodes exist only until normalization removes them.
 
 
 @dataclass(frozen=True)
 class XLin:
+    """A linear form: const + Σ c·v over variables + Σ c·n over nodes.
+
+    Every query term is one XLin.  The variable coefficients are sorted by
+    name and the node coefficients keep their nodes' first appearance; no
+    coefficient is zero, so equal forms compare equal.  A node applies
+    abs, min, max or F to XLin arguments."""
+
     const: Fraction
-    coeffs: tuple  # sorted tuple of (variable name, nonzero Fraction)
+    coeffs: tuple = ()  # sorted tuple of (variable name, nonzero Fraction)
+    nodes: tuple = ()  # tuple of (node, nonzero Fraction), first appearance first
 
 
 @dataclass(frozen=True)
-class XAdd:
-    a: object
-    b: object
+class XNode:
+    args: tuple  # XLin arguments
 
 
-@dataclass(frozen=True)
-class XNeg:
-    a: object
+class XAbs(XNode):
+    pass
 
 
-@dataclass(frozen=True)
-class XMul:
-    a: object
-    b: object
+class XMin(XNode):
+    pass
 
 
-@dataclass(frozen=True)
-class XAbs:
-    a: object
+class XMax(XNode):
+    pass
 
 
-@dataclass(frozen=True)
-class XMin:
-    a: object
-    b: object
+class XF(XNode):
+    pass
 
 
-@dataclass(frozen=True)
-class XMax:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class XF:
-    args: tuple
-
-
-# Formulas.
+# Formulas.  A matrix after lowering keeps PNot/PAnd/POr over the
+# matrix atoms MAtom, MFAtom and MBool.
 
 
 @dataclass(frozen=True)
 class PCmp:
     rel: str  # '<' '<=' '=' '>=' '>'
-    lhs: object
-    rhs: object
+    lhs: XLin
+    rhs: XLin
 
 
 @dataclass(frozen=True)
@@ -140,12 +134,6 @@ class POr:
 
 
 @dataclass(frozen=True)
-class PImplies:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
 class PExists:
     var: str
     body: object
@@ -157,80 +145,68 @@ class PForall:
     body: object
 
 
-def xlin_const(v) -> XLin:
-    return XLin(rational(v), ())
+_ZERO = XLin(Fraction(0))
 
 
 def xlin_var(name: str) -> XLin:
     return XLin(Fraction(0), ((name, Fraction(1)),))
 
 
-def _xlin_merge(a: XLin, b: XLin, sign: int) -> XLin:
-    coeffs = dict(a.coeffs)
-    for name, c in b.coeffs:
-        coeffs[name] = coeffs.get(name, Fraction(0)) + sign * c
-    items = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
-    return XLin(a.const + sign * b.const, items)
+def _node_form(node) -> XLin:
+    return XLin(Fraction(0), (), ((node, Fraction(1)),))
 
 
-def _xlin_scale(a: XLin, q: Fraction) -> XLin:
-    if q == 0:
-        return XLin(Fraction(0), ())
-    return XLin(a.const * q, tuple((n, c * q) for n, c in a.coeffs))
+def _sum(const, terms) -> XLin:
+    """The form const + Σ q·f over the pairs (f, q) of terms."""
+    coeffs, nodes = {}, {}
+    for f, q in terms:
+        if f.const:
+            const += q * f.const
+        for table, items in ((coeffs, f.coeffs), (nodes, f.nodes)):
+            for key, c in items:
+                c = c if q == 1 else q * c
+                table[key] = table[key] + c if key in table else c
+    return XLin(
+        const,
+        tuple(sorted((n, c) for n, c in coeffs.items() if c != 0)),
+        tuple((n, c) for n, c in nodes.items() if c != 0),
+    )
 
 
-def _e_add(a, b):
-    if isinstance(a, XLin) and isinstance(b, XLin):
-        return _xlin_merge(a, b, 1)
-    return XAdd(a, b)
+def _combine(a: XLin, b: XLin, q) -> XLin:
+    """The form a + q·b."""
+    return _sum(Fraction(0), ((a, 1), (b, q)))
 
 
-def _e_sub(a, b):
-    return _e_add(a, _e_neg(b))
+def _is_const(e: XLin) -> bool:
+    return not (e.coeffs or e.nodes)
 
 
-def _e_neg(a):
-    if isinstance(a, XLin):
-        return XLin(-a.const, tuple((n, -c) for n, c in a.coeffs))
-    return XNeg(a)
+def _e_mul(a: XLin, b: XLin) -> XLin:
+    if not _is_const(a):
+        a, b = b, a
+    if not _is_const(a):
+        raise QueryError("non-linear arithmetic: product of two non-constant terms")
+    return _combine(_ZERO, b, a.const)
 
 
-def _e_mul(a, b):
-    if isinstance(a, XLin) and isinstance(b, XLin):
-        if a.coeffs and b.coeffs:
-            raise QueryError("non-linear arithmetic: variable times variable")
-        if not a.coeffs:
-            return _xlin_scale(b, a.const)
-        return _xlin_scale(a, b.const)
-    return XMul(a, b)
+def _e_div(a: XLin, b: XLin) -> XLin:
+    if not _is_const(b):
+        raise QueryError("non-linear arithmetic: division by a variable expression")
+    if b.const == 0:
+        raise QueryError("division by zero in query")
+    return _combine(_ZERO, a, 1 / b.const)
 
 
-def _e_abs(a):
-    if isinstance(a, XLin) and not a.coeffs:
-        return XLin(abs(a.const), ())
-    return XAbs(a)
+def _e_abs(a: XLin) -> XLin:
+    return XLin(abs(a.const)) if _is_const(a) else _node_form(XAbs((a,)))
 
 
-def _e_min(a, b):
-    if isinstance(a, XLin) and isinstance(b, XLin) and not (a.coeffs or b.coeffs):
-        return a if a.const <= b.const else b
-    return XMin(a, b)
-
-
-def _e_max(a, b):
-    if isinstance(a, XLin) and isinstance(b, XLin) and not (a.coeffs or b.coeffs):
-        return a if a.const >= b.const else b
-    return XMax(a, b)
-
-
-def _e_div(a, b):
-    if isinstance(b, XLin) and not b.coeffs:
-        if b.const == 0:
-            raise QueryError("division by zero in query")
-        if isinstance(a, XLin):
-            return _xlin_scale(a, 1 / b.const)
-        return XMul(XLin(1 / b.const, ()), a)
-    raise QueryError("non-linear arithmetic: division by a variable expression")
+def _e_min_max(kind, a: XLin, b: XLin) -> XLin:
+    """min(a, b) for kind XMin, max(a, b) for kind XMax."""
+    if _is_const(a) and _is_const(b):
+        return XLin((min if kind is XMin else max)(a.const, b.const))
+    return _node_form(kind((a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +272,11 @@ class _QueryParser:
     # formulas --------------------------------------------------------------
 
     def parse_formula(self):
-        return self.parse_implies()
-
-    def parse_implies(self):
         left = self.parse_or()
         kind, val, _ = self.peek()
         if kind == "op" and val == "->":
             self.take()
-            return PImplies(left, self.parse_implies())
+            return POr(PNot(left), self.parse_formula())
         return left
 
     def parse_or(self):
@@ -365,8 +338,7 @@ class _QueryParser:
             kind, val, _ = self.peek()
             if kind == "op" and val in ("+", "-"):
                 self.take()
-                right = self.parse_term()
-                left = _e_add(left, right) if val == "+" else _e_sub(left, right)
+                left = _combine(left, self.parse_term(), 1 if val == "+" else -1)
             else:
                 return left
 
@@ -385,7 +357,7 @@ class _QueryParser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return _e_neg(self.parse_factor())
+            return _combine(_ZERO, self.parse_factor(), -1)
         return self.parse_primary()
 
     def _parse_args(self):
@@ -398,7 +370,7 @@ class _QueryParser:
     def parse_primary(self):
         kind, val, at = self.take()
         if kind == "num":
-            return xlin_const(val)
+            return XLin(rational(val))
         if kind == "op" and val == "(":
             e = self.parse_expr()
             self.expect_op(")")
@@ -412,7 +384,7 @@ class _QueryParser:
                     raise QueryError(
                         f"F takes {self.m} argument(s), got {len(args)} at position {at}"
                     )
-                return XF(tuple(args))
+                return _node_form(XF(tuple(args)))
             if val == "abs":
                 self.expect_op("(")
                 e = self.parse_expr()
@@ -424,7 +396,7 @@ class _QueryParser:
                 self.expect_op(",")
                 b = self.parse_expr()
                 self.expect_op(")")
-                return (_e_min if val == "min" else _e_max)(a, b)
+                return _e_min_max(XMin if val == "min" else XMax, a, b)
             if val in ("dist_linf", "dist_l1"):
                 self.expect_op("(")
                 left = self._parse_args()
@@ -433,15 +405,15 @@ class _QueryParser:
                 self.expect_op(")")
                 if len(left) != len(right) or not left:
                     raise QueryError(f"{val} needs two equal-length coordinate lists")
-                diffs = [_e_abs(_e_sub(a, b)) for a, b in zip(left, right)]
+                diffs = [_e_abs(_combine(a, b, -1)) for a, b in zip(left, right)]
                 if val == "dist_l1":
                     out = diffs[0]
                     for e in diffs[1:]:
-                        out = _e_add(out, e)
+                        out = _combine(out, e, 1)
                     return out
                 out = diffs[0]
                 for e in diffs[1:]:
-                    out = _e_max(out, e)
+                    out = _e_min_max(XMax, out, e)
                 return out
             if val in _KEYWORDS:
                 raise QueryError(f"keyword {val!r} cannot be used here (position {at})")
@@ -475,41 +447,44 @@ class _Gensym:
         return f"__{prefix}{self.n}"
 
 
-def _expr_children(e):
-    """The direct sub-expressions of an expression node, left to right."""
-    if isinstance(e, XLin):
-        return ()
-    if isinstance(e, (XNeg, XAbs)):
-        return (e.a,)
-    if isinstance(e, (XAdd, XMul, XMin, XMax)):
-        return (e.a, e.b)
-    if isinstance(e, XF):
-        return e.args
-    raise TypeError(f"not an expression: {e!r}")
+def _map_terms(e: XLin, var=xlin_var, node=lambda _n: None) -> XLin:
+    """The form e with every variable name replaced by the form var(name)
+    and every node n by the form node(n), or, where that is None, by n over
+    its arguments mapped in turn; folded.  Renaming, case-splitting and F
+    extraction rewrite terms only through this map."""
+    terms = [(var(name), c) for name, c in e.coeffs]
+    for n, c in e.nodes:
+        new = node(n)
+        if new is None:
+            new = _node_form(type(n)(tuple(_map_terms(a, var, node) for a in n.args)))
+        terms.append((new, c))
+    return _sum(e.const, terms)
 
 
-def _rebuild_expr(e, children):
-    """The node e with its sub-expressions replaced, without folding."""
-    if isinstance(e, XLin):
+def _replace(e: XLin, old, new: XLin) -> XLin:
+    """e with every occurrence of the node old replaced by the form new."""
+    if not _occurs(old, e):
         return e
-    if isinstance(e, XF):
-        return XF(tuple(children))
-    return type(e)(*children)
+    return _map_terms(e, node=lambda n: new if n == old else None)
 
 
-def _walk_expr(e, fn):
-    """Rebuild an expression bottom-up through fn."""
-    children = _expr_children(e)
-    if children:
-        e = _rebuild_expr(e, [_walk_expr(c, fn) for c in children])
-    return fn(e)
+def _occurs(node, e: XLin) -> bool:
+    return any(n == node or any(_occurs(node, a) for a in n.args) for n, _c in e.nodes)
+
+
+def _form_vars(e: XLin) -> set:
+    out = {name for name, _c in e.coeffs}
+    for n, _c in e.nodes:
+        for a in n.args:
+            out |= _form_vars(a)
+    return out
 
 
 def _sub_formulas(node):
     """The direct sub-formulas of a formula node; atoms have none."""
     if isinstance(node, (PNot, PExists, PForall)):
         return (node.body,)
-    if isinstance(node, (PAnd, POr, PImplies)):
+    if isinstance(node, (PAnd, POr)):
         return (node.a, node.b)
     return ()
 
@@ -519,7 +494,7 @@ def _map_formula(node, fn, *args):
     left to right."""
     if isinstance(node, PNot):
         return PNot(fn(node.body, *args))
-    if isinstance(node, (PAnd, POr, PImplies)):
+    if isinstance(node, (PAnd, POr)):
         return type(node)(fn(node.a, *args), fn(node.b, *args))
     if isinstance(node, (PExists, PForall)):
         return type(node)(node.var, fn(node.body, *args))
@@ -528,26 +503,20 @@ def _map_formula(node, fn, *args):
 
 def _rename_and_substitute(node, env, params, free_order, gensym):
     """α-rename bound variables apart, substitute parameters, and record
-    free variables in first-appearance order."""
+    free variables in first-appearance order (within a form, its own
+    variables by name, then its nodes' arguments left to right)."""
 
-    def leaf(x):
-        if not isinstance(x, XLin):
-            return x
-        const = x.const
-        coeffs = {}
-        for name, c in x.coeffs:
-            if name in env:
-                coeffs[env[name]] = coeffs.get(env[name], Fraction(0)) + c
-            elif name in params:
-                const += c * params[name]
-            else:
-                if name not in free_order:
-                    free_order.append(name)
-                coeffs[name] = coeffs.get(name, Fraction(0)) + c
-        return XLin(const, tuple(sorted(coeffs.items())))
+    def var(name):
+        if name in env:
+            return xlin_var(env[name])
+        if name in params:
+            return XLin(params[name])
+        if name not in free_order:
+            free_order.append(name)
+        return xlin_var(name)
 
     if isinstance(node, PCmp):
-        return PCmp(node.rel, _walk_expr(node.lhs, leaf), _walk_expr(node.rhs, leaf))
+        return PCmp(node.rel, _map_terms(node.lhs, var), _map_terms(node.rhs, var))
     if isinstance(node, (PExists, PForall)):
         if node.var in params:
             raise QueryError(f"quantified variable {node.var!r} shadows a parameter")
@@ -562,97 +531,93 @@ def _rename_and_substitute(node, env, params, free_order, gensym):
     return _map_formula(node, _rename_and_substitute, env, params, free_order, gensym)
 
 
-def _split(e, k):
-    """k applied to e with its abs/min/max case-split away.
-
-    The children are split first, left to right, so the innermost, then
-    leftmost, sugar is split outermost; each branch conjoins the guard that
-    selects it with k of the sugar-free expression.  Nodes are rebuilt
-    without folding, so F arguments keep the shapes extraction compares."""
-    children = _expr_children(e)
-
-    def rest(done):
-        if len(done) < len(children):
-            return _split(children[len(done)], lambda c: rest(done + (c,)))
-        node = _rebuild_expr(e, done)
-        if isinstance(node, XAbs):
-            zero = xlin_const(0)
-            return POr(
-                PAnd(PCmp(">=", node.a, zero), k(node.a)),
-                PAnd(PCmp("<", node.a, zero), k(_e_neg(node.a))),
-            )
-        if isinstance(node, (XMin, XMax)):
-            low = isinstance(node, XMin)
-            return POr(
-                PAnd(PCmp("<=" if low else ">=", node.a, node.b), k(node.a)),
-                PAnd(PCmp(">" if low else "<", node.a, node.b), k(node.b)),
-            )
-        return k(node)
-
-    return rest(())
+def _first_sugar(e: XLin):
+    """The first abs/min/max node of e in split order, or None: a node's
+    arguments come before the node, and nodes left to right."""
+    for n, _c in e.nodes:
+        for a in n.args:
+            found = _first_sugar(a)
+            if found is not None:
+                return found
+        if not isinstance(n, XF):
+            return n
+    return None
 
 
-def _is_plain_var(e):
-    return (
-        isinstance(e, XLin)
-        and e.const == 0
-        and len(e.coeffs) == 1
-        and e.coeffs[0][1] == 1
+def _split(rel, lhs: XLin, rhs: XLin):
+    """The comparison lhs rel rhs with its abs/min/max nodes case-split away.
+
+    The first node in split order, lhs before rhs, is split outermost.
+    Each branch conjoins the guard that selects one of the node's values
+    with the comparison in which every occurrence of the node takes that
+    value, split in turn; the guard holds no sugar, because a node's
+    arguments are split before it.  What is left is an atom (``_atom``)."""
+    node = _first_sugar(lhs)
+    if node is None:
+        node = _first_sugar(rhs)
+    if node is None:
+        return _atom(rel, lhs, rhs)
+    if isinstance(node, XAbs):
+        (a,), b = node.args, _ZERO
+        cases = ((">=", a), ("<", _combine(_ZERO, a, -1)))
+    else:
+        a, b = node.args
+        low = isinstance(node, XMin)
+        cases = (("<=" if low else ">=", a), (">" if low else "<", b))
+    (g1, v1), (g2, v2) = cases
+    return POr(
+        PAnd(PCmp(g1, a, b), _split(rel, _replace(lhs, node, v1), _replace(rhs, node, v1))),
+        PAnd(PCmp(g2, a, b), _split(rel, _replace(lhs, node, v2), _replace(rhs, node, v2))),
     )
+
+
+def _plain_var(e: XLin):
+    """The variable's name if e is a single variable, else None."""
+    if len(e.coeffs) == 1 and e == xlin_var(e.coeffs[0][0]):
+        return e.coeffs[0][0]
+    return None
 
 
 def _atom(rel, lhs, rhs):
     """A sugar-free comparison; F(x⃗) = y over pairwise-distinct plain
     variables becomes a structural f-atom untouched by extraction."""
     for fe, other in ((lhs, rhs), (rhs, lhs)) if rel == "=" else ():
-        if isinstance(fe, XF) and all(_is_plain_var(a) for a in (*fe.args, other)):
-            names = [a.coeffs[0][0] for a in (*fe.args, other)]
-            if len(set(names)) == len(names):
+        fn = fe.nodes[0][0] if len(fe.nodes) == 1 else None
+        if isinstance(fn, XF) and fe == _node_form(fn):
+            names = [_plain_var(a) for a in (*fn.args, other)]
+            if None not in names and len(set(names)) == len(names):
                 return PFAtom(tuple(names[:-1]), names[-1])
     return PCmp(rel, lhs, rhs)
 
 
 def _desugar(node):
     """The one pass from the renamed tree to atoms: abs/min/max are
-    case-split (``_split``), a -> b becomes not a or b, and F(x⃗) = y atoms
-    become f-atoms."""
+    case-split (``_split``) and F(x⃗) = y atoms become f-atoms."""
     if isinstance(node, PCmp):
-        return _split(node.lhs, lambda a: _split(node.rhs, lambda b: _atom(node.rel, a, b)))
-    if isinstance(node, PImplies):
-        return POr(PNot(_desugar(node.a)), _desugar(node.b))
+        return _split(node.rel, node.lhs, node.rhs)
     return _map_formula(node, _desugar)
 
 
-def _expr_vars(e, out: set):
-    if isinstance(e, XLin):
-        out.update(name for name, _c in e.coeffs)
-    for c in _expr_children(e):
-        _expr_vars(c, out)
-    return out
-
-
 def _extractable_occurrence(node, trigger):
-    """First F occurrence to pull at this anchor: an XF node with XF-free
-    arguments that either meets the trigger set itself or sits inside a
-    triggered occurrence.  trigger=None matches everything."""
+    """First F node to pull at this anchor: one with F-free arguments that
+    either meets the trigger set itself or sits inside a triggered node.
+    trigger=None matches everything.  After ``_desugar`` every node is an F
+    node."""
 
-    def from_expr(e, forced):
-        if isinstance(e, XLin):
-            return None
-        hit = isinstance(e, XF) and (
-            forced or trigger is None or bool(_expr_vars(e, set()) & trigger)
-        )
-        for c in _expr_children(e):
-            found = from_expr(c, hit or forced)
-            if found is not None:
-                return found
-        if hit and not any(_has_f(a) for a in e.args):
-            return e
+    def from_form(e, forced):
+        for n, _c in e.nodes:
+            hit = forced or trigger is None or any(_form_vars(a) & trigger for a in n.args)
+            for a in n.args:
+                found = from_form(a, hit)
+                if found is not None:
+                    return found
+            if hit and not any(a.nodes for a in n.args):
+                return n
         return None
 
     if isinstance(node, PCmp):
-        found = from_expr(node.lhs, False)
-        return found if found is not None else from_expr(node.rhs, False)
+        found = from_form(node.lhs, False)
+        return found if found is not None else from_form(node.rhs, False)
     for sub in _sub_formulas(node):
         found = _extractable_occurrence(sub, trigger)
         if found is not None:
@@ -660,30 +625,21 @@ def _extractable_occurrence(node, trigger):
     return None
 
 
-def _has_f(e):
-    return isinstance(e, XF) or any(_has_f(c) for c in _expr_children(e))
-
-
 def _subst_occurrence(node, occ: XF, var_name: str):
-    """Replace every occurrence structurally equal to occ by the variable."""
-
-    def fn(x):
-        if isinstance(x, XF) and x == occ:
-            return xlin_var(var_name)
-        return x
-
+    """Replace every occurrence of the F node occ by the variable."""
     if isinstance(node, PCmp):
-        return PCmp(node.rel, _walk_expr(node.lhs, fn), _walk_expr(node.rhs, fn))
+        r = xlin_var(var_name)
+        return PCmp(node.rel, _replace(node.lhs, occ, r), _replace(node.rhs, occ, r))
     return _map_formula(node, _subst_occurrence, occ, var_name)
 
 
 def _pull_occurrences(node, trigger, gensym):
-    """Extract every F occurrence anchored at this scope: identical argument
-    tuples share one fresh result variable; plain-variable arguments are
-    used directly, other arguments get a fresh copy with a defining
-    equality.  The fresh variables are existentially quantified around the
-    rewritten subformula; since the defining conjuncts pin them uniquely,
-    the wrap is an equivalence in any boolean context.
+    """Extract every F node anchored at this scope: equal nodes (equal
+    argument forms) share one fresh result variable; plain-variable
+    arguments are used directly, other arguments get a fresh copy with a
+    defining equality.  The fresh variables are existentially quantified
+    around the rewritten subformula; since the defining conjuncts pin them
+    uniquely, the wrap is an equivalence in any boolean context.
     """
     trigger_set = set(trigger) if trigger is not None else None
     names = []
@@ -694,19 +650,15 @@ def _pull_occurrences(node, trigger, gensym):
         if occ is None:
             break
         arg_names = []
-        used = set()
         for a in occ.args:
-            if _is_plain_var(a) and a.coeffs[0][0] not in used:
-                arg_names.append(a.coeffs[0][0])
-                used.add(a.coeffs[0][0])
-            else:
-                z = gensym.fresh("z")
-                names.append(z)
-                defs.append(PCmp("=", xlin_var(z), a))
-                arg_names.append(z)
-                used.add(z)
+            name = _plain_var(a)
+            if name is None or name in arg_names:
+                name = gensym.fresh("z")
+                names.append(name)
+                defs.append(PCmp("=", xlin_var(name), a))
                 if trigger_set is not None:
-                    trigger_set.add(z)
+                    trigger_set.add(name)
+            arg_names.append(name)
         r = gensym.fresh("r")
         names.append(r)
         defs.append(PFAtom(tuple(arg_names), r))
@@ -751,7 +703,7 @@ def _prenex(node):
     return [], node
 
 
-# Ordered matrix nodes.
+# Matrix atoms.
 
 
 @dataclass(frozen=True)
@@ -771,24 +723,9 @@ class MFAtom:
 
 
 @dataclass(frozen=True)
-class MNot:
-    body: object
-
-
-@dataclass(frozen=True)
-class MAnd:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class MOr:
-    items: tuple
-
-
-@dataclass(frozen=True)
 class OrderedPrenexQuery:
     """Normalized query: free variables first, then the quantifier prefix;
-    matrix over strict linear atoms and f-atoms."""
+    the matrix is PNot/PAnd/POr over MAtom, MFAtom and MBool."""
 
     free_vars: tuple  # user names of x_1..x_k
     var_names: tuple  # names of x_1..x_d (internal names after x_k)
@@ -796,26 +733,10 @@ class OrderedPrenexQuery:
     matrix: object
 
 
-def _fold_linear(x):
-    if isinstance(x, XAdd):
-        return _e_add(x.a, x.b)
-    if isinstance(x, XNeg):
-        return _e_neg(x.a)
-    if isinstance(x, XMul):
-        return _e_mul(x.a, x.b)
-    return x
-
-
-def _linear(e) -> XLin:
-    """Fold a normalized expression into one XLin; rejects non-linearity."""
-    out = _walk_expr(e, _fold_linear)
-    if not isinstance(out, XLin):
-        raise RuntimeError(f"unexpected node after normalization: {out!r}")
-    return out
-
-
 def _strict_atom(lhs: XLin, rhs: XLin, pos):
     """lhs − rhs > 0 as a matrix atom over x_1..x_d, or a constant."""
+    if lhs.nodes or rhs.nodes:
+        raise RuntimeError(f"unexpected node after normalization: {lhs!r} > {rhs!r}")
     vec = [lhs.const - rhs.const] + [Fraction(0)] * len(pos)
     for name, c in lhs.coeffs:
         vec[pos[name]] = c
@@ -827,38 +748,33 @@ def _strict_atom(lhs: XLin, rhs: XLin, pos):
 
 
 def _lower_matrix(node, pos):
+    """The matrix with each comparison written over strict atoms and each
+    f-atom over variable indices; the connectives stay."""
     if isinstance(node, PCmp):
-        lhs, rhs = _linear(node.lhs), _linear(node.rhs)
+        lhs, rhs = node.lhs, node.rhs
         if node.rel == ">":
             return _strict_atom(lhs, rhs, pos)
         if node.rel == "<":
             return _strict_atom(rhs, lhs, pos)
         if node.rel == ">=":
-            return MNot(_strict_atom(rhs, lhs, pos))
+            return PNot(_strict_atom(rhs, lhs, pos))
         if node.rel == "<=":
-            return MNot(_strict_atom(lhs, rhs, pos))
-        return MAnd((MNot(_strict_atom(lhs, rhs, pos)), MNot(_strict_atom(rhs, lhs, pos))))
+            return PNot(_strict_atom(lhs, rhs, pos))
+        return PAnd(PNot(_strict_atom(lhs, rhs, pos)), PNot(_strict_atom(rhs, lhs, pos)))
     if isinstance(node, PFAtom):
         return MFAtom(tuple(pos[a] for a in node.args), pos[node.result])
-    if isinstance(node, PNot):
-        return MNot(_lower_matrix(node.body, pos))
-    if isinstance(node, PAnd):
-        return MAnd((_lower_matrix(node.a, pos), _lower_matrix(node.b, pos)))
-    if isinstance(node, POr):
-        return MOr((_lower_matrix(node.a, pos), _lower_matrix(node.b, pos)))
-    raise RuntimeError(f"unexpected node in matrix: {node!r}")
+    return _map_formula(node, _lower_matrix, pos)
 
 
 def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPrenexQuery:
     """Bring a query into ordered prenex normal form.
 
     Steps: rename bound variables apart and substitute parameters; one
-    pass over the atoms case-splits abs/min/max, rewrites implications and
-    turns F(x⃗) = y into f-atoms; pull the remaining F occurrences into
-    f-atoms with fresh variables; prenex; rewrite non-strict/equality
-    comparisons into boolean formulas over strict atoms; assign the total
-    variable order with free variables first.  An f-atom's variables may
-    take any places in that order.
+    pass over the atoms case-splits abs/min/max and turns F(x⃗) = y into
+    f-atoms; pull the remaining F nodes into f-atoms with fresh variables;
+    prenex; rewrite non-strict/equality comparisons into boolean formulas
+    over strict atoms; assign the total variable order with free variables
+    first.  An f-atom's variables may take any places in that order.
     """
     params = {k: rational(v) for k, v in (parameters or {}).items()}
     gensym = _Gensym()
@@ -902,11 +818,8 @@ class CellSet:
 
 def _matrix_nodes(node):
     yield node
-    if isinstance(node, MNot):
-        yield from _matrix_nodes(node.body)
-    elif isinstance(node, (MAnd, MOr)):
-        for item in node.items:
-            yield from _matrix_nodes(item)
+    for sub in _sub_formulas(node):
+        yield from _matrix_nodes(sub)
 
 
 def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
@@ -943,13 +856,14 @@ def _predicate(cd, f, matrix):
     if isinstance(matrix, MFAtom):
         sign = graph_sign(cd, f, matrix.args, matrix.result)
         return lambda cid: sign(cid) == 0
-    if isinstance(matrix, MNot):
+    if isinstance(matrix, PNot):
         body = _predicate(cd, f, matrix.body)
         return lambda cid: not body(cid)
-    if isinstance(matrix, (MAnd, MOr)):
-        items = [_predicate(cd, f, item) for item in matrix.items]
-        test = all if isinstance(matrix, MAnd) else any
-        return lambda cid: test(p(cid) for p in items)
+    if isinstance(matrix, (PAnd, POr)):
+        a, b = _predicate(cd, f, matrix.a), _predicate(cd, f, matrix.b)
+        if isinstance(matrix, PAnd):
+            return lambda cid: a(cid) and b(cid)
+        return lambda cid: a(cid) or b(cid)
     raise RuntimeError(f"unexpected matrix node: {matrix!r}")
 
 

@@ -20,6 +20,7 @@ from nnquery.fosum import (
     free_variables,
     parse_fosum,
 )
+from nnquery.network import Network, Neuron, graph_vocabulary, to_structure
 
 VOCAB = Vocabulary(
     relations={"E": 2, "P": 1},
@@ -94,6 +95,27 @@ def test_cancellation_does_not_launder_bottom():
     assert eval_weight_term(S, t, {"u": "e1"}) == Fraction(0)
     t0 = parse_fosum("0 * b(u)", VOCAB)
     assert eval_weight_term(S, t0, {"u": "e4"}) is BOT
+
+
+def test_unbound_variable_is_a_value_error():
+    t = parse_fosum("b(x)", VOCAB)
+    with pytest.raises(ValueError, match="unbound variable 'x'"):
+        eval_weight_term(S, t, {})
+    with pytest.raises(ValueError, match="unbound variable 'x'"):
+        eval_formula(S, parse_fosum("P(x)", VOCAB), {})
+
+
+def test_symbol_missing_from_structure_is_a_value_error():
+    # a term parsed over a 2-input vocabulary, evaluated on a 1-input net
+    net = Network(1, (), (Neuron(Fraction(1), (Fraction(2),)),))
+    s = to_structure(net, [Fraction(1)])
+    vocab = graph_vocabulary(2)
+    with pytest.raises(ValueError, match="unbound constant 'in2'"):
+        eval_weight_term(s, parse_fosum("b(in2)", vocab), {})
+    with pytest.raises(ValueError, match="unbound constant 'in2'"):
+        eval_formula(s, parse_fosum("E(in2, out1)", vocab), {})
+    with pytest.raises(ValueError, match="weight symbol 'val2'"):
+        eval_weight_term(s, parse_fosum("val2", vocab), {})
 
 
 def test_exists_edge_from_input():

@@ -13,12 +13,12 @@ from nnquery.network import Network, Neuron
 from nnquery.pwl import pwl_eval, pwl_from_network
 from nnquery.query import (
     CellSet,
-    MAnd,
     MAtom,
     MBool,
     MFAtom,
-    MNot,
-    MOr,
+    PAnd,
+    PNot,
+    POr,
     QueryError,
     build_query_arrangement,
     complement,
@@ -167,11 +167,11 @@ class TestNormalize:
     def test_nonlinear_product_rejected(self, relu_net):
         with pytest.raises(QueryError, match="non-linear"):
             parse_query("x * y > 0", 1)
-        # products that turn non-linear only once abs or F is rewritten away
+        # a product of two non-constant forms, sugar or F included, is
+        # rejected as it is parsed
         for text in ("abs(x) * y > 0", "exists x . F(x) * x > 0"):
-            ast = parse_query(text, 1)
             with pytest.raises(QueryError, match="non-linear"):
-                normalize_ordered_prenex(ast)
+                parse_query(text, 1)
         # a constant factor on sugar stays linear: |x − 1| < 3/2
         result = evaluate_query(relu_net, "2 * abs(x - 1) < 3")
         assert result.cells
@@ -225,6 +225,21 @@ class TestNormalize:
         assert opq.free_vars == ("x",)
         assert opq.var_names[0] == "x"
         assert opq.prefix == ("exists",)
+
+    def test_repeated_node_is_split_once(self):
+        # abs(x) + y + abs(x) is the form 2·abs(x) + y, so x is split once:
+        # the guard x = 0 and the planes 2x + y = 1 and −2x + y = 1
+        planes = [
+            build_query_arrangement(None, normalize_ordered_prenex(parse_query(t, 1))).hyperplanes
+            for t in ("abs(x) + y + abs(x) < 1", "2 * abs(x) + y < 1")
+        ]
+        assert planes[0] == planes[1]
+        assert len(planes[0]) == 3
+
+    def test_zero_coefficient_drops_f(self):
+        opq = normalize_ordered_prenex(parse_query("F(x) * 0 + x > 0", 1))
+        assert opq.var_names == ("x",)
+        assert not [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MFAtom)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +320,79 @@ class TestArrangement:
         assert not {canonicalize(h) for h in elsewhere} & set(arr.hyperplanes)
 
 
+# The sentences that analysis.robustness_check and counterfactual_explain
+# build, pinned plane by plane: a change to the normal form that moves the
+# benchmark's decompositions shows here.
+
+_NET_1IN = Network(
+    1,
+    ((Neuron(Fraction(-1), (Fraction(2),)), Neuron(Fraction(1, 2), (Fraction(-1),))),),
+    (Neuron(Fraction(1, 4), (Fraction(1), Fraction(-3, 2))),),
+)
+_NET_2IN = Network(
+    2,
+    ((Neuron(Fraction(1), (Fraction(1), Fraction(-2))),),),
+    (Neuron(Fraction(0), (Fraction(3, 2),)),),
+)
+
+
+def _robustness_planes(net, a, metric):
+    f = pwl_from_network(net)
+    xs = [f"x{j}" for j in range(1, net.inputs + 1)]
+    anchors = [f"pa{j}" for j in range(1, net.inputs + 1)]
+    params = dict(zip(anchors, a))
+    params.update(pc=pwl_eval(f, a), peps=Fraction(3, 4), pdelta=Fraction(1, 2))
+    sentence = (
+        " ".join(f"forall {x} ." for x in xs)
+        + f" (dist_{metric}({', '.join(xs)}; {', '.join(anchors)}) < peps"
+        + f" -> abs(F({', '.join(xs)}) - pc) < pdelta)"
+    )
+    q = normalize_ordered_prenex(parse_query(sentence, net.inputs), parameters=params)
+    return build_query_arrangement(f, q).hyperplanes
+
+
+def _counterfactual_planes(net, box):
+    f = pwl_from_network(net)
+    xs = [f"x{j}" for j in range(1, net.inputs + 1)]
+    params = {"pthr": Fraction(1, 2)}
+    parts = [f"F({', '.join(xs)}) = z", "z > pthr"]
+    for j, (lo, hi) in enumerate(box, start=1):
+        params.update({f"plo{j}": lo, f"phi{j}": hi})
+        parts += [f"x{j} >= plo{j}", f"x{j} <= phi{j}"]
+    q = normalize_ordered_prenex(
+        parse_query(" and ".join(parts), net.inputs), parameters=params, free_order=xs + ["z"]
+    )
+    return build_query_arrangement(f, q).hyperplanes
+
+
+def test_benchmark_query_shapes_are_pinned():
+    one_in = (
+        (-1, 2, 0), (-5, 4, 0), (1, 4, 0), (-1, 0, 4), (-3, 0, 4), (1, 0, 4),
+        (-1, 3, -2), (-3, 8, -4),
+    )
+    a1 = (Fraction(1, 2),)
+    assert _robustness_planes(_NET_1IN, a1, "linf") == one_in
+    assert _robustness_planes(_NET_1IN, a1, "l1") == one_in
+    a2 = (Fraction(1, 4), Fraction(-1, 2))
+    assert _robustness_planes(_NET_2IN, a2, "linf") == (
+        (-1, 4, 0, 0), (1, 0, 2, 0), (-3, 4, -4, 0), (-1, 1, 0, 0), (-1, 0, 4, 0),
+        (1, 4, 4, 0), (5, 0, 4, 0), (1, 2, 0, 0), (-27, 0, 0, 8), (-31, 0, 0, 8),
+        (-23, 0, 0, 8), (1, 1, -2, 0), (3, 3, -6, -2), (0, 0, 0, 1),
+    )
+    assert _robustness_planes(_NET_2IN, a2, "l1") == (
+        (-1, 4, 0, 0), (1, 0, 2, 0), (-1, 2, 2, 0), (-3, 2, -2, 0), (0, 1, -1, 0),
+        (1, 1, 1, 0), (-27, 0, 0, 8), (-31, 0, 0, 8), (-23, 0, 0, 8), (1, 1, -2, 0),
+        (3, 3, -6, -2), (0, 0, 0, 1),
+    )
+    assert _counterfactual_planes(_NET_1IN, [(-2, 2)]) == (
+        (-1, 0, 2), (2, 1, 0), (-2, 1, 0), (-1, 2, 0), (-1, 3, -2), (-1, 0, 4), (-3, 8, -4),
+    )
+    assert _counterfactual_planes(_NET_2IN, [(-2, 2), (-1, 1)]) == (
+        (-1, 0, 0, 2), (2, 1, 0, 0), (-2, 1, 0, 0), (1, 0, 1, 0), (-1, 0, 1, 0),
+        (1, 1, -2, 0), (3, 3, -6, -2), (0, 0, 0, 1),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cell selection and set operations
 # ---------------------------------------------------------------------------
@@ -322,7 +410,7 @@ class TestSelection:
         arr = make_arrangement(1, [(Fraction(0), Fraction(1))])
         cd = build_cd(arr)
         atom = MAtom((Fraction(0), Fraction(1)))
-        tautology = MNot(MAnd((atom, MNot(atom))))
+        tautology = PNot(PAnd(atom, PNot(atom)))
         s = select_cells_qfree(cd, None, tautology)
         assert s.ids == frozenset(c.id for c in cd.levels[1])
 
@@ -550,12 +638,12 @@ def _sample_satisfies(f, matrix, sample) -> bool:
     if isinstance(matrix, MFAtom):
         proj = tuple(sample[g - 1] for g in matrix.args)
         return affine_eval(f.component_at(proj), proj) == sample[matrix.result - 1]
-    if isinstance(matrix, MNot):
+    if isinstance(matrix, PNot):
         return not _sample_satisfies(f, matrix.body, sample)
-    if isinstance(matrix, MAnd):
-        return all(_sample_satisfies(f, item, sample) for item in matrix.items)
-    if isinstance(matrix, MOr):
-        return any(_sample_satisfies(f, item, sample) for item in matrix.items)
+    if isinstance(matrix, PAnd):
+        return _sample_satisfies(f, matrix.a, sample) and _sample_satisfies(f, matrix.b, sample)
+    if isinstance(matrix, POr):
+        return _sample_satisfies(f, matrix.a, sample) or _sample_satisfies(f, matrix.b, sample)
     raise TypeError(f"unexpected matrix node: {matrix!r}")
 
 
