@@ -9,15 +9,15 @@ total, exactly the feasible sign vectors appear, and the components of a
 piece and of every piece whose closure holds it agree on it — together
 these make the function well-defined and continuous.
 
-Extraction from a network proceeds stage by stage, mirroring the layers:
-coordinate functions are combined by scaling, summation (plane union) and
-exact ReLU application (each component's zero-set joins the breakplanes).
-Each refining stage hands its planes to one step that enumerates the
-realizable positions from the cell decomposition of their arrangement:
-every cell's position is read from the stacks, and every realizable
-position is hit by some cell.  The properness check lives with the test
-oracles, where feasibility goes through Fourier–Motzkin elimination
-instead, so construction and verification follow independent routes.
+Extraction from a network refines one arrangement once per hidden layer:
+the zero-sets of the layer's pre-activations join its planes, and one step
+enumerates the realizable positions from the cell decomposition of the
+result, every cell's position read from the stacks, so every realizable
+position is hit by some cell (``pwl_from_network``).  The stages (scaling,
+summation with plane union, exact ReLU) are the same algebra on one
+function at a time.  The properness check lives with the test oracles,
+where feasibility goes through Fourier–Motzkin elimination instead, so
+construction and verification follow independent routes.
 
 Queries, integration and the decomposition statistics place F in R^d
 through ``lift_graph`` and read each cell's side of F's graph back through
@@ -107,25 +107,33 @@ def _zero_component(m: int) -> tuple:
     return (Fraction(0),) * (m + 1)
 
 
-def _refine(m: int, planes, component) -> PwlFunction:
-    """The function over the arrangement of ``planes``, one polytope per
-    realizable position.
+def _positions(m: int, planes, value):
+    """The breakplanes of the arrangement of ``planes`` and a map from each
+    of its realizable positions to ``value(position, sample)``.
 
     ``make_arrangement`` canonicalizes the planes and drops duplicates in
     first-appearance order; those are the breakplanes.  Positions are read
     from the stacks of the full-level cells, which partition R^m, so every
-    realizable position is reached; ``component(position, sample)`` gives
-    the component of each position at the sample of its first cell.
+    realizable position is reached, in the order of its first cell, whose
+    sample ``value`` gets.
     """
     arr = make_arrangement(m, planes)
     cd = build_cd(arr)
     signs = [plane_sign(cd, h) for h in arr.hyperplanes]
-    polys = {}
+    values = {}
     for cell in cd.levels[m]:
         pos = cell_position(signs, cell.id)
-        if pos not in polys:
-            polys[pos] = component(pos, cell.sample)
-    return PwlFunction(m=m, breakplanes=arr.hyperplanes, polytopes=tuple(polys.items()))
+        if pos not in values:
+            values[pos] = value(pos, cell.sample)
+    return arr.hyperplanes, values
+
+
+def _refine(m: int, planes, component) -> PwlFunction:
+    """The function over the arrangement of ``planes``, one polytope per
+    realizable position, with the component ``component(position, sample)``
+    (see ``_positions``)."""
+    breakplanes, polys = _positions(m, planes, component)
+    return PwlFunction(m=m, breakplanes=breakplanes, polytopes=tuple(polys.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +142,9 @@ def _refine(m: int, planes, component) -> PwlFunction:
 
 
 def init_inputs(m: int):
-    """The m coordinate projections as (trivially proper) PWL functions."""
+    """The m coordinate projections as (trivially proper) PWL functions.
+    Like the other stages, PWL algebra behind hidden targets and the
+    tests' stage-by-stage reference for ``pwl_from_network``."""
     if m < 1:
         raise ValueError("need at least one input")
     out = []
@@ -148,7 +158,8 @@ def init_inputs(m: int):
 
 def scale_stage(f: PwlFunction, w) -> PwlFunction:
     """Scale every component by w.  Breakplanes are kept even when w = 0,
-    so downstream stages see a stable arrangement."""
+    so downstream stages see a stable arrangement.  PWL algebra behind
+    hidden targets and the tests' reference."""
     w = rational(w)
     polys = tuple(
         (pos, tuple(w * a for a in comp)) for pos, comp in f.polytopes
@@ -161,7 +172,8 @@ def sum_stage(fs, bias=0) -> PwlFunction:
 
     Breakplanes are the union of the summands'; each realizable position
     over the union implies one position of every summand (restrict to its
-    planes), whose components add up.
+    planes), whose components add up.  PWL algebra behind hidden targets
+    and the tests' reference.
     """
     fs = list(fs)
     if not fs:
@@ -195,7 +207,9 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
     """Apply ReLU exactly: each non-constant component's zero-set joins the
     breakplanes, and components are kept where positive, zeroed elsewhere.
     A constant component contributes no plane (its zero-set is not a
-    hyperplane); it is kept or zeroed by its sign alone."""
+    hyperplane); it is kept or zeroed by its sign alone.  Extraction ends
+    a hidden target with this stage, and the tests' reference applies it
+    to every neuron."""
     n_old = len(f.breakplanes)
     zero_sets = [comp for _pos, comp in f.polytopes if any(a != 0 for a in comp[1:])]
 
@@ -215,12 +229,42 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
 # ---------------------------------------------------------------------------
 
 
+def _affine_map(values, neuron, m: int) -> dict:
+    """A neuron's pre-activation on every position: its bias plus the
+    weighted sum of the previous layer's components there."""
+    bias = rational(neuron.bias)
+    weights = [rational(w) for w in neuron.weights]
+    out = {}
+    for pos, comps in values.items():
+        total = [bias] + [Fraction(0)] * m
+        for w, comp in zip(weights, comps, strict=True):
+            for j, a in enumerate(comp):
+                total[j] += w * a
+        out[pos] = tuple(total)
+    return out
+
+
 def pwl_from_network(net: Network, target=None) -> PwlFunction:
     """Exact PWL representation of the value computed at ``target``.
 
     ``target`` is a hidden or output neuron (id or its string form);
     default is the first output.  Hidden targets yield the post-activation
     value; outputs are affine, so no final ReLU is applied.
+
+    Each hidden layer is one refinement, and the result is the function,
+    breakplanes and position order that composing the stages neuron by
+    neuron gives.  A layer is held as a map from each realizable position
+    of one arrangement to the tuple of its neurons' components.  A
+    neuron's pre-activation is an affine map of that tuple on the same
+    positions: its summands span the whole previous arrangement, since a
+    weight of 0 keeps a summand's planes (``scale_stage``).  The zero-sets
+    of the non-constant pre-activation components, neuron by neuron and
+    each in position order, join the planes, and one decomposition gives
+    the layer's positions, each neuron's ReLU read at the position's
+    sample.  The output is the affine map of the last tuple, with no
+    decomposition; a hidden target runs the layers before its own and
+    applies ``relu_stage`` to its pre-activation.  So no more
+    decompositions are built than there are hidden layers.
     """
     if target is None:
         target = NeuronId("output", 1, net.depth)
@@ -237,24 +281,24 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
         if not 1 <= target.index <= len(net.outputs):
             raise ValueError(f"no such output neuron: {target}")
 
-    funcs = init_inputs(net.inputs)
+    m = net.inputs
+    planes = ()  # the inputs: coordinate projections on the empty arrangement
+    values = {"": tuple(f.polytopes[0][1] for f in init_inputs(m))}
     for k, layer in enumerate(net.hidden, start=1):
-        new = []
-        for j, neuron in enumerate(layer, start=1):
-            pre = sum_stage(
-                [scale_stage(funcs[i], w) for i, w in enumerate(neuron.weights)],
-                neuron.bias,
-            )
-            post = relu_stage(pre)
-            if target.role == "hidden" and target.layer == k and target.index == j:
-                return post
-            new.append(post)
-        funcs = new
-    neuron = net.outputs[target.index - 1]
-    return sum_stage(
-        [scale_stage(funcs[i], w) for i, w in enumerate(neuron.weights)],
-        neuron.bias,
-    )
+        if target.role == "hidden" and target.layer == k:
+            pre = _affine_map(values, layer[target.index - 1], m)
+            return relu_stage(PwlFunction(m=m, breakplanes=planes, polytopes=tuple(pre.items())))
+        pres = [_affine_map(values, neuron, m) for neuron in layer]
+        n_old = len(planes)
+        zero_sets = [c for pre in pres for c in pre.values() if any(a != 0 for a in c[1:])]
+
+        def post(pos, sample):
+            comps = (pre[pos[:n_old]] for pre in pres)
+            return tuple(c if affine_eval(c, sample) > 0 else _zero_component(m) for c in comps)
+
+        planes, values = _positions(m, [*planes, *zero_sets], post)
+    out = _affine_map(values, net.outputs[target.index - 1], m)
+    return PwlFunction(m=m, breakplanes=planes, polytopes=tuple(out.items()))
 
 
 # ---------------------------------------------------------------------------

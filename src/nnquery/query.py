@@ -246,11 +246,34 @@ def _tokenize(text: str):
     return out
 
 
+# How deeply formulas and expressions may nest: open '(', argument lists,
+# 'not' and quantifiers, counted together.  Each level costs the recursive
+# descent a few Python frames, so this stays well under the interpreter's
+# recursion limit and deeper input gets a QueryError, not a RecursionError.
+_MAX_NESTING = 105
+
+
+def _nesting(parse):
+    """Count one level of nesting around a recursive parse method."""
+
+    def nested(self):
+        if self.depth == _MAX_NESTING:
+            self.fail(f"query nests deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(self)
+        finally:
+            self.depth -= 1
+
+    return nested
+
+
 class _QueryParser:
     def __init__(self, text: str, m: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.m = m
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -272,12 +295,14 @@ class _QueryParser:
     # formulas --------------------------------------------------------------
 
     def parse_formula(self):
-        left = self.parse_or()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "->":
+        parts = [self.parse_or()]
+        while self.peek()[:2] == ("op", "->"):
             self.take()
-            return POr(PNot(left), self.parse_formula())
-        return left
+            parts.append(self.parse_or())
+        out = parts.pop()
+        for left in reversed(parts):  # '->' associates to the right
+            out = POr(PNot(left), out)
+        return out
 
     def parse_or(self):
         left = self.parse_and()
@@ -293,6 +318,7 @@ class _QueryParser:
             left = PAnd(left, self.parse_unary())
         return left
 
+    @_nesting
     def parse_unary(self):
         kind, val, _ = self.peek()
         if kind == "ident" and val == "not":
@@ -354,11 +380,14 @@ class _QueryParser:
                 return left
 
     def parse_factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        negations = 0
+        while self.peek()[:2] == ("op", "-"):
             self.take()
-            return _combine(_ZERO, self.parse_factor(), -1)
-        return self.parse_primary()
+            negations += 1
+        e = self.parse_primary()
+        for _ in range(negations):
+            e = _combine(_ZERO, e, -1)
+        return e
 
     def _parse_args(self):
         args = [self.parse_expr()]
@@ -367,6 +396,7 @@ class _QueryParser:
             args.append(self.parse_expr())
         return args
 
+    @_nesting
     def parse_primary(self):
         kind, val, at = self.take()
         if kind == "num":

@@ -350,6 +350,13 @@ class TestExitCodes:
         assert r.exit_code == 3, r.output
         assert "declared twice" in r.stderr
 
+    def test_deeply_nested_query_exits_3(self, models):
+        text = "(" * 400 + "x" + ")" * 400 + " > 0"
+        r = invoke(["query", "--model", models["relu"], "--query-str", text])
+        assert r.exit_code == 3, r.output
+        assert "nests deeper" in r.stderr
+        assert "Traceback" not in r.output
+
     def test_strict_false_exits_1(self, models):
         r = invoke(
             [

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from nnquery import pwl
 from nnquery.geometry import build_cd, make_arrangement
-from nnquery.network import Network, Neuron, forward, load_network
+from nnquery.network import Network, Neuron, NeuronId, forward, load_network
 from nnquery.pwl import (
     PwlFunction,
     graph_sign,
@@ -143,6 +144,92 @@ class TestExtraction:
         for _ in range(6):
             net = random_network(rng, rng.randint(1, 2), rng.randint(1, 2), max_width=2)
             assert oracle_pwl_proper(pwl_from_network(net))
+
+
+def reference_extraction(net, target):
+    """The value at ``target`` composed stage by stage from the public PWL
+    algebra: every neuron sums its scaled inputs and applies one ReLU stage,
+    the output sums the last layer's values."""
+    funcs = init_inputs(net.inputs)
+    for k, layer in enumerate(net.hidden, start=1):
+        new = []
+        for j, neuron in enumerate(layer, start=1):
+            pre = sum_stage(
+                [scale_stage(f, w) for f, w in zip(funcs, neuron.weights, strict=True)],
+                neuron.bias,
+            )
+            post = relu_stage(pre)
+            if target == NeuronId("hidden", j, k):
+                return post
+            new.append(post)
+        funcs = new
+    neuron = net.outputs[target.index - 1]
+    return sum_stage(
+        [scale_stage(f, w) for f, w in zip(funcs, neuron.weights, strict=True)], neuron.bias
+    )
+
+
+def every_target(net):
+    yield NeuronId("output", 1, net.depth)
+    for k, layer in enumerate(net.hidden, start=1):
+        for j in range(1, len(layer) + 1):
+            yield NeuronId("hidden", j, k)
+
+
+def reference_nets():
+    """Seeded random nets with 1-3 inputs and 1-3 hidden layers, one with a
+    zero weight and one with a neuron whose pre-activation is constant."""
+    rng = random.Random(20261020)
+    for m in (1, 2, 3):
+        for hidden in (1, 2, 3):
+            for _ in range(4 if m < 3 else 2):
+                yield random_network(rng, m, hidden + 1, max_width=2)
+    yield Network(
+        inputs=2,
+        hidden=[
+            [Neuron(F(1, 2), (F(1), F(0))), Neuron(F(-1), (F(2), F(-1)))],
+            [Neuron(F(0), (F(0), F(3))), Neuron(F(1), (F(-1), F(1)))],
+        ],
+        outputs=[Neuron(F(1, 3), (F(1), F(0)))],
+    )
+    # the second hidden layer's first neuron ignores the first layer: its
+    # pre-activation is the constant 2 on every position, and the second
+    # one is the constant -1
+    yield Network(
+        inputs=1,
+        hidden=[
+            [Neuron(F(0), (F(1),)), Neuron(F(1), (F(-1),))],
+            [Neuron(F(2), (F(0), F(0))), Neuron(F(-1), (F(0), F(0))), Neuron(F(0), (F(1), F(2)))],
+        ],
+        outputs=[Neuron(F(0), (F(1), F(1), F(-1)))],
+    )
+
+
+class TestLayerExtraction:
+    def test_equals_the_stage_by_stage_composition(self):
+        for net in reference_nets():
+            for target in every_target(net):
+                got = pwl_from_network(net, target)
+                want = reference_extraction(net, target)
+                assert got.breakplanes == want.breakplanes, (net, target)
+                assert got.polytopes == want.polytopes, (net, target)
+
+    def test_one_decomposition_per_hidden_layer(self, monkeypatch):
+        calls = []
+
+        def counting(arr, *args, **kwargs):
+            calls.append(arr.d)
+            return build_cd(arr, *args, **kwargs)
+
+        monkeypatch.setattr(pwl, "build_cd", counting)
+        for net in reference_nets():
+            calls.clear()
+            pwl_from_network(net)
+            assert len(calls) <= len(net.hidden), net
+            for k, layer in enumerate(net.hidden, start=1):
+                calls.clear()
+                pwl_from_network(net, NeuronId("hidden", len(layer), k))
+                assert len(calls) <= k, (net, k)
 
 
 class TestEval:

@@ -97,6 +97,39 @@ class TestParse:
         parenthesized = evaluate_query(relu_net, "exists x . (F(x) = x and x > 1)")
         assert with_dot.truth is parenthesized.truth is True
 
+    def test_deep_nesting_is_a_query_error(self):
+        # the recursive descent stops at a fixed depth instead of running
+        # out of Python stack
+        deep = (
+            "(" * 400 + "x" + ")" * 400 + " > 0",
+            "(" * 400 + "x > 0" + ")" * 400,
+            "not " * 400 + "x > 0",
+            "exists y . " * 400 + "x > 0",
+            "abs(" * 400 + "x" + ")" * 400 + " > 0",
+            "F(" * 400 + "x" + ")" * 400 + " > 0",
+        )
+        for text in deep:
+            with pytest.raises(QueryError, match="nests deeper"):
+                parse_query(text, 1)
+
+    def test_hundred_levels_and_long_chains_parse(self):
+        paren = parse_query("(" * 100 + "x" + ")" * 100 + " > 0", 1)
+        assert paren == parse_query("x > 0", 1)
+        formula = parse_query("(" * 100 + "x > 0" + ")" * 100, 1)
+        assert formula == parse_query("x > 0", 1)
+        parse_query("not " * 100 + "x > 0", 1)
+        # '->' chains and unary minus are read iteratively: no depth limit
+        assert parse_query("- " * 400 + "x > 0", 1) == parse_query("x > 0", 1)
+        parse_query(" -> ".join(["x > 0"] * 400), 1)
+
+    def test_implication_associates_to_the_right(self):
+        assert parse_query("x > 0 -> x > 1 -> x > 2", 1) == parse_query(
+            "x > 0 -> (x > 1 -> x > 2)", 1
+        )
+        assert parse_query("x > 0 -> x > 1 -> x > 2", 1) != parse_query(
+            "(x > 0 -> x > 1) -> x > 2", 1
+        )
+
     def test_decimal_literal_is_exact(self):
         opq = normalize_ordered_prenex(parse_query("x > 0.9", 1))
         (atom,) = _atoms(opq.matrix)
