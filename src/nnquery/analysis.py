@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core import rational
 from .geometry import build_cd, make_arrangement, mapping_value, plane_sign
-from .linprog import affine_eval, minimize
+from .linprog import minimize
 from .network import Network
 from .pwl import (
     PwlFunction,
@@ -430,11 +430,12 @@ def _closure_constraints(cd, cell):
     topological closure.
     """
     d = cd.d
+    num, den = cell.num, cell.den
     cons = []
     for lvl in range(1, cell.level + 1):
-        prefix = cell.sample[:lvl]
         for h in cd.pools[lvl]:
-            v = affine_eval(h, prefix)
+            # the sign of h at the sample num/den, scaled by den > 0
+            v = h[0] * den + sum(a * n for a, n in zip(h[1:], num))
             padded = h + (Fraction(0),) * (d - lvl)
             if v > 0:
                 cons.append((padded, "ge"))

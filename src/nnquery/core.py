@@ -67,6 +67,30 @@ def rational(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def nesting_limit(limit: int, language: str):
+    """Decorator for the recursive methods of a descent parser with a
+    ``depth`` counter and a ``fail(message)`` method that raises.
+
+    Each call counts one level of nesting; past ``limit`` levels the parser
+    fails with its own error, so that deep input is rejected before it
+    exhausts the interpreter's stack.
+    """
+
+    def decorate(parse):
+        def nested(self):
+            if self.depth == limit:
+                self.fail(f"{language} nests deeper than {limit} levels")
+            self.depth += 1
+            try:
+                return parse(self)
+            finally:
+                self.depth -= 1
+
+        return nested
+
+    return decorate
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q' (lowest terms, q > 0)."""
     if q.denominator == 1:

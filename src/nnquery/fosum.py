@@ -26,7 +26,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nnquery.core import BOT, LiftedValue, Vocabulary, WeightedStructure, ladd, lifted_compare
+from nnquery.core import (
+    BOT,
+    LiftedValue,
+    Vocabulary,
+    WeightedStructure,
+    ladd,
+    lifted_compare,
+    nesting_limit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +330,15 @@ def _tokenize(text: str):
     return tokens
 
 
+# How deeply formulas and terms may nest: quantifiers, 'implies', 'not',
+# open '(', '-', 'if' and 'sum', counted together and over the formula and
+# the term reading alike.  Each level costs the descent and the evaluator a
+# few Python frames, so this stays well under the interpreter's recursion
+# limit and deeper input gets a ParseError, not a RecursionError.
+_MAX_NESTING = 100
+_nesting = nesting_limit(_MAX_NESTING, "input")
+
+
 class _Parser:
     def __init__(self, text: str, vocab: Vocabulary):
         self.tokens = _tokenize(text)
@@ -329,6 +346,7 @@ class _Parser:
         self.vocab = vocab
         self.scopes: list[dict] = []
         self.binder_names: set = set()
+        self.depth = 0
 
     # --- token utilities ---------------------------------------------------
 
@@ -341,6 +359,9 @@ class _Parser:
         tok = self._peek()
         self.pos += 1
         return tok
+
+    def fail(self, message: str):
+        raise ParseError(message, self._peek()[2])
 
     def _expect(self, value: str):
         kind, val, at = self._next()
@@ -381,6 +402,7 @@ class _Parser:
 
     # --- formulas ----------------------------------------------------------
 
+    @_nesting
     def parse_formula(self):
         if self._at_kw("exists", "forall"):
             _, word, _ = self._next()
@@ -415,6 +437,7 @@ class _Parser:
             left = FAnd(left, self._parse_atomf())
         return left
 
+    @_nesting
     def _parse_atomf(self):
         if self._at_kw("not"):
             self._next()
@@ -500,6 +523,7 @@ class _Parser:
             acc = acc.mul(right) if op == "*" else acc.div(right)
         return acc.to_term()
 
+    @_nesting
     def _parse_unary(self):
         if self._at_op("-"):
             _, _, at = self._next()

@@ -16,15 +16,19 @@ Checks that a decomposition is adapted to its arrangement (membership,
 sign constancy inside cells, one cell per level for every point) live with
 the test oracles, which compute section heights from the cells alone.
 
-All coordinates are exact rationals (``Fraction``).  Hyperplanes are
-stored canonically as tuples of Python ``int``: coprime coefficients with a
-positive leading linear coefficient, so that equal point sets have equal
-representations.  Int and ``Fraction`` tuples of equal value compare and
-hash equal, so a plane may be looked up in any exact form.  The inner
-loops stay in integers: projection combines two planes as
-h2[i]·h1 − h1[i]·h2, and a stack is ordered by the integer heights of its
-sections over the base sample's common denominator (``_stack_elements``),
-which order and group exactly as the rational heights do.
+All coordinates are exact, and the decomposition computes them in
+integers.  Hyperplanes are stored canonically as tuples of Python ``int``:
+coprime coefficients with a positive leading linear coefficient, so that
+equal point sets have equal representations.  Int and ``Fraction`` tuples
+of equal value compare and hash equal, so a plane may be looked up in any
+exact form.  A cell's sample point is stored in homogeneous coordinates:
+integer numerators over one common positive denominator, which grows by
+the factor 2·unit per level (``unit`` being the lcm of the level's
+coefficients on its last coordinate) and is never reduced.  Projection
+combines two planes as h2[i]·h1 − h1[i]·h2, and a stack is ordered by the
+integer heights of its sections over the base sample's denominator
+(``_stack_elements``), which order and group exactly as the rational
+heights do.  ``Cell.sample`` reads a sample as reduced ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import rational
 
@@ -122,14 +127,17 @@ def mapping_value(h, y) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One cell of a decomposition.
 
     ``id`` is the path of stack indices from the origin; ``lower``/``upper``
     are the delineating hyperplanes (None encodes −∞/+∞ for unbounded
-    sectors; sections carry the same plane on both sides).  ``sample`` lies
-    strictly inside the cell.
+    sectors; sections carry the same plane on both sides).  The cell's
+    sample point lies strictly inside it and is stored in homogeneous
+    integer coordinates: ``num[k]/den`` is its k-th coordinate, with one
+    common positive denominator ``den`` that need not be the least one.
+    ``sample`` is the same point as a tuple of reduced ``Fraction``s,
+    computed when read.
     """
 
     id: tuple
@@ -138,7 +146,13 @@ class Cell:
     base: tuple | None
     lower: tuple | None
     upper: tuple | None
-    sample: tuple
+    num: tuple
+    den: int
+
+    @property
+    def sample(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
 
 @dataclass(frozen=True)
@@ -159,29 +173,28 @@ class CellDecomposition:
         return self.levels[level]
 
 
-def _stack_elements(planes_nonvertical, scaled, unit, base_sample):
+def _stack_elements(planes_nonvertical, scaled, unit, num, den):
     """The alternating sector/section stack over one base cell.
 
-    Returns (stack, sections): ``stack`` holds (kind, lower, upper,
-    sample_extension) tuples in bottom-up order, and ``sections[j]`` is the
-    stack index of the section of ``planes_nonvertical[j]``.
+    The base sample is given as integer numerators ``num`` over the positive
+    denominator ``den``.  Returns (stack, sections): ``stack`` holds (kind,
+    lower, upper, height) tuples in bottom-up order, each height an integer
+    over 2·unit·den, and ``sections[j]`` is the stack index of the section
+    of ``planes_nonvertical[j]``.
 
-    Heights are integers over one common denominator.  With the base sample
-    written as integer numerators n over its denominator den, plane j's
-    section lies at H_j/(unit·den), where H_j = g_0·den + Σ g_k·n_k and
-    g = ``scaled[j]`` is the plane times −unit/h_j[i] (an integer, as
+    Plane j's section lies at H_j/(unit·den), where H_j = g_0·den + Σ g_k·n_k
+    and g = ``scaled[j]`` is the plane times −unit/h_j[i] (an integer, as
     ``unit`` is the lcm of the planes' coefficients on x_i).  Since unit·den
     is positive, the keys H_j order and group the sections exactly as their
     rational heights do, and mappings equal at the base sample are equal
     over the whole base cell (delineability), so grouping by the keys is
-    exact.  The only ``Fraction``s made are the stack's samples.
+    exact.  Sectors sit midway between consecutive sections, or one unit
+    beyond the outermost; doubling the denominator keeps midpoints integral.
     """
-    den = math.lcm(*(q.denominator for q in base_sample))
-    nums = [q.numerator * (den // q.denominator) for q in base_sample]
     groups = {}
     for j, g in enumerate(scaled):
         key = g[0] * den
-        for a, n in zip(g[1:], nums):
+        for a, n in zip(g[1:], num):
             key += a * n
         groups.setdefault(key, []).append(j)
     common = unit * den
@@ -190,17 +203,12 @@ def _stack_elements(planes_nonvertical, scaled, unit, base_sample):
     below = prev = None
     for key, members in sorted(groups.items(), key=itemgetter(0)):
         plane = planes_nonvertical[members[0]]
-        if prev is None:
-            t = Fraction(key - common, common)
-        else:
-            t = Fraction(prev + key, 2 * common)
-        stack.append(("sector", below, plane, t))
+        stack.append(("sector", below, plane, 2 * (key - common) if prev is None else prev + key))
         for j in members:
             sections[j] = len(stack)
-        stack.append(("section", plane, plane, Fraction(key, common)))
+        stack.append(("section", plane, plane, 2 * key))
         below, prev = plane, key
-    last = Fraction(0) if prev is None else Fraction(prev + common, common)
-    stack.append(("sector", below, None, last))
+    stack.append(("sector", below, None, 0 if prev is None else 2 * (prev + common)))
     return stack, tuple(sections)
 
 
@@ -209,7 +217,8 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
 
     ``restrict(level, sample)`` may prune cells (with their whole towers)
     during construction when the caller only needs the part of space where
-    the predicate holds; pruning never alters surviving cells.  Ordering a
+    the predicate holds; it gets each candidate cell's level and ``sample``,
+    and pruning never alters surviving cells.  Ordering a
     stack places every pool plane's section in it, so the section indices
     are kept per base cell and every cell's signs on the pool planes can
     later be read without arithmetic (``plane_sign``).
@@ -219,7 +228,7 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
     for i in range(d, 1, -1):
         pools[i - 1] = _project_planes(pools[i], i)
 
-    origin = Cell(id=(), level=0, kind="origin", base=None, lower=None, upper=None, sample=())
+    origin = Cell((), 0, "origin", None, None, None, (), 1)
     levels = [(origin,)]
     sections = {}
     for i in range(1, d + 1):
@@ -228,22 +237,16 @@ def build_cd(arr: Arrangement, restrict=None) -> CellDecomposition:
         scaled = [tuple(-a * (unit // h[i]) for a in h[:i]) for h in nonvertical]
         new = []
         for base in levels[i - 1]:
-            stack, sections[base.id] = _stack_elements(nonvertical, scaled, unit, base.sample)
+            cid, num = base.id, base.num
+            stack, sections[cid] = _stack_elements(nonvertical, scaled, unit, num, base.den)
+            den = 2 * unit * base.den
+            prefix = tuple(2 * unit * n for n in num)
+            if restrict is not None:
+                base_sample = base.sample
             for k, (kind, lo, hi, t) in enumerate(stack):
-                sample = base.sample + (t,)
-                if restrict is not None and not restrict(i, sample):
+                if restrict is not None and not restrict(i, base_sample + (Fraction(t, den),)):
                     continue
-                new.append(
-                    Cell(
-                        id=base.id + (k,),
-                        level=i,
-                        kind=kind,
-                        base=base.id,
-                        lower=lo,
-                        upper=hi,
-                        sample=sample,
-                    )
-                )
+                new.append(Cell(cid + (k,), i, kind, cid, lo, hi, prefix + (t,), den))
         levels.append(tuple(new))
     index = {c.id: c for level in levels for c in level}
     return CellDecomposition(

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import rational
+from .core import nesting_limit, rational
 from .geometry import Arrangement, build_cd, make_arrangement, plane_sign
 from .network import Network
 from .pwl import PwlFunction, graph_sign, lift_graph, pwl_from_network
@@ -251,21 +251,7 @@ def _tokenize(text: str):
 # descent a few Python frames, so this stays well under the interpreter's
 # recursion limit and deeper input gets a QueryError, not a RecursionError.
 _MAX_NESTING = 105
-
-
-def _nesting(parse):
-    """Count one level of nesting around a recursive parse method."""
-
-    def nested(self):
-        if self.depth == _MAX_NESTING:
-            self.fail(f"query nests deeper than {_MAX_NESTING} levels")
-        self.depth += 1
-        try:
-            return parse(self)
-        finally:
-            self.depth -= 1
-
-    return nested
+_nesting = nesting_limit(_MAX_NESTING, "query")
 
 
 class _QueryParser:

@@ -24,6 +24,8 @@ from oracles import random_network, random_point
 
 runner = CliRunner()
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def invoke(args, env=None):
     return runner.invoke(main, args, env=env, catch_exceptions=False)
@@ -353,6 +355,13 @@ class TestExitCodes:
     def test_deeply_nested_query_exits_3(self, models):
         text = "(" * 400 + "x" + ")" * 400 + " > 0"
         r = invoke(["query", "--model", models["relu"], "--query-str", text])
+        assert r.exit_code == 3, r.output
+        assert "nests deeper" in r.stderr
+        assert "Traceback" not in r.output
+
+    def test_deeply_nested_fosum_term_exits_3(self, models):
+        text = "(" * 300 + "1" + ")" * 300
+        r = invoke(["fosum", "--model", models["two_in"], "--term-str", text])
         assert r.exit_code == 3, r.output
         assert "nests deeper" in r.stderr
         assert "Traceback" not in r.output
@@ -814,6 +823,23 @@ class TestInvariants:
             ["cd-stats", "--model", path],
         ):
             assert normalized(args) == normalized(args)
+
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            (
+                "query_open_two_in.json",
+                ["query", "--query-str", "F(x, y) > 1/2 and x + y < 1 and x - y > -1 and y > 0"],
+            ),
+            ("cd_stats_two_in.json", ["cd-stats"]),
+        ],
+    )
+    def test_output_matches_golden(self, models, golden, args):
+        # cell ids and sample strings stay byte-identical, apart from timings
+        r = invoke([args[0], "--model", models["two_in"], *args[1:]])
+        assert r.exit_code == 0, r.output
+        got = re.sub(r'"total_seconds": [0-9.eE+-]+', '"total_seconds": _', r.stdout)
+        assert got == (GOLDEN / golden).read_text()
 
 
 class TestThreadCap:

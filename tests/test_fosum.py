@@ -9,6 +9,7 @@ from nnquery.fosum import (
     FEqStd,
     FExists,
     FRel,
+    Formula,
     ParseError,
     SVar,
     TIf,
@@ -179,6 +180,43 @@ def test_parse_errors():
         parse_fosum("if P(in1) then 1", VOCAB)  # missing else
     with pytest.raises(ParseError):
         parse_fosum("w(b(x), y)", VOCAB)  # weight-term argument to a weight symbol
+
+
+# Input nested n levels deep, one kind of nesting each.
+NESTED = {
+    "paren term": lambda n: "(" * n + "1" + ")" * n,
+    "paren formula": lambda n: "(" * n + "1 < 2" + ")" * n,
+    "not": lambda n: "not " * n + "1 < 2",
+    "exists": lambda n: "".join(f"exists v{i} " for i in range(n)) + "1 < 2",
+    "implies": lambda n: "1 < 2 implies " * n + "1 < 2",
+    "minus": lambda n: "-" * n + "1",
+    "if": lambda n: "if 1 < 2 then " * n + "1" + " else 0" * n,
+    "sum": lambda n: "sum{u : u = in1} " * 3 + "(" * n + "1" + ")" * n,
+}
+
+
+def test_deep_nesting_is_a_parse_error():
+    # the recursive descent stops at a fixed depth, in the formula reading
+    # and the term reading alike, instead of running out of Python stack
+    for nested in NESTED.values():
+        with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+            parse_fosum(nested(300), VOCAB)
+
+
+def test_deepest_accepted_nesting_parses_and_evaluates():
+    # the limit leaves the evaluator room on the stack at every kind of
+    # nesting: the deepest input that parses also evaluates
+    deepest = {"paren term": 99, "paren formula": 48, "minus": 99, "sum": 96}
+    for kind, nested in NESTED.items():
+        n = deepest.get(kind, 97)
+        with pytest.raises(ParseError):
+            parse_fosum(nested(n + 1), VOCAB)
+        ast = parse_fosum(nested(n), VOCAB)
+        sign = -1 if kind in ("not", "minus") and n % 2 else 1
+        if isinstance(ast, Formula):
+            assert eval_formula(S, ast, {}) is (sign == 1), kind
+        else:
+            assert eval_weight_term(S, ast, {}) == sign, kind
 
 
 def test_sum_order_independence():

@@ -1,6 +1,7 @@
 """Tests for arrangements, projection, and cylindrical cell decompositions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +101,36 @@ def random_arrangements(seed, n=60):
             bound = rng.randint(-1, 2)
             restrict = lambda lvl, s, bound=bound: s[-1] <= bound
         yield make_arrangement(d, planes), restrict
+
+
+def wide_arrangements(seed, n=24):
+    """``n`` random arrangements beyond ``random_arrangements``: in R^4 with
+    up to four planes (one in three through a hub point), and in R^2 and
+    R^3 with large prime coefficients, whose per-level lcms ``unit``
+    multiply past 2^64 in the samples' common denominator."""
+    rng = random.Random(seed)
+    primes = [p for p in range(1000, 1400) if all(p % q for q in range(2, 38))]
+    for trial in range(n):
+        if trial % 2 == 0:
+            d = 4
+            hub = [Fraction(rng.randint(-4, 4), 2) for _ in range(d)]
+            planes = []
+            for _ in range(rng.randint(2, 4)):
+                lin = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+                if not any(lin):
+                    lin[rng.randrange(d)] = Fraction(1)
+                if rng.random() < 0.35:
+                    const = -sum(a * x for a, x in zip(lin, hub))
+                else:
+                    const = Fraction(rng.randint(-3, 3))
+                planes.append((const, *lin))
+        else:
+            d = 2 + trial % 4 // 2
+            planes = [
+                (rng.randint(-9, 9), *(rng.choice(primes) for _ in range(d)))
+                for _ in range(rng.randint(3, 4))
+            ]
+        yield make_arrangement(d, planes), None
 
 
 class TestCanonicalize:
@@ -240,9 +271,12 @@ class TestBuildCd:
 class TestIntegerKernel:
     def test_matches_rational_route(self):
         # integer heights over a common denominator order and group every
-        # stack exactly as the Fraction heights do
-        vertical = concurrent = pruned = 0
-        for arr, restrict in random_arrangements(53, n=90):
+        # stack exactly as the Fraction heights do, and each sample's
+        # integer numerators over that denominator are the reduced
+        # Fractions ``sample`` reads
+        vertical = concurrent = pruned = four = wide = 0
+        arrangements = itertools.chain(random_arrangements(53, n=90), wide_arrangements(5))
+        for arr, restrict in arrangements:
             cd = build_cd(arr, restrict)
             pools, levels, sections = rational_cd(arr, restrict)
             assert cd.pools == pools
@@ -252,10 +286,18 @@ class TestIntegerKernel:
             ]
             assert got == levels
             assert cd.sections == sections
+            for c in cd.index.values():
+                assert c.den > 0 and len(c.num) == len(c.sample) == c.level
+                for t, n in zip(c.sample, c.num):
+                    assert type(t) is Fraction and math.gcd(t.numerator, t.denominator) == 1
+                    assert t.numerator * c.den == n * t.denominator, c
             vertical += any(h[i] == 0 for i in pools for h in pools[i])
             concurrent += any(len(set(s)) < len(s) for s in sections.values())
             pruned += restrict is not None
+            four += arr.d == 4
+            wide += max(c.den for c in cd.index.values()) > 2**64
         assert vertical >= 20 and concurrent >= 10 and pruned >= 20
+        assert four >= 10 and wide >= 10
 
     def test_canonical_planes_are_ints(self):
         for raw in [(4, -2), ("1/2", "1/3", "-1/6"), F(0, -3, 6), (Fraction(5, 7), "2", 0)]:
