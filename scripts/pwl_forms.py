@@ -12,9 +12,18 @@ line per network and target:
     source  index  target  planes=<count>  polytopes=<count>  form=<digest>
 
 where the digest hashes the repr of (breakplanes, polytopes), so plane
-order, position order, component values and their types all count.  Lines
+order, position order, component values and their types all count.  Each
+such line is followed by one that reads the form back at seeded rational
+points:
+
+    source  index  target  points=<count>  on_planes=<count>  eval=<digest>
+
+where the digest hashes the repr of each point's position
+(``sign_position``) and value (``pwl_eval``).  The points are random ones
+with small denominators, two with denominators past 2^64, and one on each
+of the first four breakplanes, so the '=' signs are read too.  Lines
 depend only on the seeds and the extraction, so ``diff`` of the output on
-two checkouts lists every form that changed.
+two checkouts lists every form, and every reading of one, that changed.
 
 Run:  PYTHONPATH=src python3 scripts/pwl_forms.py --seeds 0 1 2 --count 300
 """
@@ -28,11 +37,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from nnquery.network import NeuronId, load_network
-from nnquery.pwl import pwl_from_network
+from nnquery.pwl import pwl_eval, pwl_from_network, sign_position
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "nnbench"), str(ROOT / "tests")]
-from oracles import random_network  # noqa: E402
+from oracles import random_network, random_point  # noqa: E402
 from workloads import WORKLOADS, models  # noqa: E402
 
 
@@ -72,8 +81,27 @@ def networks(seeds, count):
         yield "random", i, net
 
 
-def fingerprint(f):
-    return hashlib.sha1(repr((f.breakplanes, f.polytopes)).encode()).hexdigest()[:12]
+def on_plane(rng, h):
+    """A random point on the plane h: random coordinates, the last one
+    with a nonzero coefficient solved for."""
+    x = random_point(rng, len(h) - 1)
+    k = max(j for j in range(1, len(h)) if h[j])
+    x[k - 1] = 0
+    x[k - 1] = -(h[0] + sum(a * v for a, v in zip(h[1:], x))) / Fraction(h[k])
+    return x
+
+
+def points(rng, f):
+    """(points, how many lie on a breakplane) at which to read f."""
+    big = 2**64 + 13
+    xs = [random_point(rng, f.m) for _ in range(6)]
+    xs += [[Fraction(rng.randint(-5 * big, 5 * big), big) for _ in range(f.m)] for _ in range(2)]
+    on = [on_plane(rng, h) for h in f.breakplanes[:4]]
+    return xs + on, len(on)
+
+
+def digest(value):
+    return hashlib.sha1(repr(value).encode()).hexdigest()[:12]
 
 
 def main():
@@ -86,7 +114,14 @@ def main():
             f = pwl_from_network(net, target)
             print(
                 f"{source}\t{i}\t{target}\tplanes={len(f.breakplanes)}"
-                f"\tpolytopes={len(f.polytopes)}\tform={fingerprint(f)}",
+                f"\tpolytopes={len(f.polytopes)}\tform={digest((f.breakplanes, f.polytopes))}",
+                flush=True,
+            )
+            xs, on = points(random.Random(f"{source}/{i}/{target}"), f)
+            readings = [(sign_position(f.breakplanes, x), pwl_eval(f, x)) for x in xs]
+            print(
+                f"{source}\t{i}\t{target}\tpoints={len(xs)}\ton_planes={on}"
+                f"\teval={digest(readings)}",
                 flush=True,
             )
 

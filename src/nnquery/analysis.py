@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core import rational
 from .geometry import build_cd, make_arrangement, mapping_value, plane_sign
-from .linprog import minimize
+from .linprog import minimize, scaled_eval
 from .network import Network
 from .pwl import (
     PwlFunction,
@@ -434,8 +434,7 @@ def _closure_constraints(cd, cell):
     cons = []
     for lvl in range(1, cell.level + 1):
         for h in cd.pools[lvl]:
-            # the sign of h at the sample num/den, scaled by den > 0
-            v = h[0] * den + sum(a * n for a, n in zip(h[1:], num))
+            v = scaled_eval(h, num, den)
             padded = h + (Fraction(0),) * (d - lvl)
             if v > 0:
                 cons.append((padded, "ge"))

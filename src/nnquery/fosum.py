@@ -347,6 +347,7 @@ class _Parser:
         self.scopes: list[dict] = []
         self.binder_names: set = set()
         self.depth = 0
+        self.too_deep = None
 
     # --- token utilities ---------------------------------------------------
 
@@ -361,7 +362,10 @@ class _Parser:
         return tok
 
     def fail(self, message: str):
-        raise ParseError(message, self._peek()[2])
+        # only the nesting limit fails through here; the reading that hit it
+        # keeps the error, though a backtracking caller may catch it
+        self.too_deep = ParseError(message, self._peek()[2])
+        raise self.too_deep
 
     def _expect(self, value: str):
         kind, val, at = self._next()
@@ -637,22 +641,20 @@ def parse_fosum(text: str, vocab: Vocabulary):
     Raises ParseError (with position) on malformed input.
     """
     p = _Parser(text, vocab)
-    save = p.pos
-    try:
-        f = p.parse_formula()
-        if p.pos != len(p.tokens):
-            raise ParseError("trailing input after formula", p._peek()[2])
-        return f
-    except ParseError as formula_err:
-        p.pos = save
-        p.scopes = []
+    errors = []
+    for read, what in ((p.parse_formula, "formula"), (p._term_operand, "term")):
+        p.pos, p.scopes, p.too_deep = 0, [], None
         try:
-            t = p._term_operand()
+            parsed = read()
             if p.pos != len(p.tokens):
-                raise ParseError("trailing input after term", p._peek()[2])
-            return t
-        except ParseError as term_err:
-            raise formula_err if formula_err.pos >= term_err.pos else term_err
+                raise ParseError(f"trailing input after {what}", p._peek()[2])
+            return parsed
+        except ParseError as err:
+            errors.append((p.too_deep is not None, p.too_deep or err))
+    # a reading that hit the nesting limit failed for that reason; else the
+    # reading that got further explains the failure (max keeps the formula's
+    # on a tie)
+    raise max(errors, key=lambda e: (e[0], e[1].pos))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,16 @@ def affine_eval(f, x) -> Fraction:
     return total
 
 
+def scaled_eval(f, num, den: int):
+    """den times the value of f = (a_0..a_d) at the point num/den, given as
+    integer numerators over one positive denominator: its sign is the sign
+    of f there, and integer f keeps it in integers."""
+    total = f[0] * den
+    for a, n in zip(f[1:], num):
+        total += a * n
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Exact two-phase simplex
 # ---------------------------------------------------------------------------

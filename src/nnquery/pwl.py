@@ -13,11 +13,21 @@ Extraction from a network refines one arrangement once per hidden layer:
 the zero-sets of the layer's pre-activations join its planes, and one step
 enumerates the realizable positions from the cell decomposition of the
 result, every cell's position read from the stacks, so every realizable
-position is hit by some cell (``pwl_from_network``).  The stages (scaling,
-summation with plane union, exact ReLU) are the same algebra on one
-function at a time.  The properness check lives with the test oracles,
-where feasibility goes through Fourier–Motzkin elimination instead, so
-construction and verification follow independent routes.
+position is hit by some cell (``pwl_from_network``).  That loop runs in
+integers: each neuron's pre-activation is held times a positive scale that
+makes its components coprime ints, and the next layer divides the scale
+into its weights.  ReLU is positively homogeneous, relu(s·u) = s·relu(u)
+for s > 0, so a scaled value has the same signs and zero-sets as the true
+one, and the planes, positions and function are unchanged; each ReLU test
+is an integer dot product with a cell's sample numerators.  Only the
+output's components (and a hidden target's pre-activation) become
+``Fraction``s, and ``sign_position`` reads a point's signs in integers
+too.  The stages (scaling, summation with plane union, exact ReLU) are the
+same algebra on one function at a time, in ``Fraction``s: the tests'
+reference, and ``relu_stage`` ends a hidden target.  The properness check
+lives with the test oracles, where feasibility goes through Fourier–Motzkin
+elimination instead, so construction and verification follow independent
+routes.
 
 Queries, integration and the decomposition statistics place F in R^d
 through ``lift_graph`` and read each cell's side of F's graph back through
@@ -27,13 +37,14 @@ through ``lift_graph`` and read each cell's side of F's graph back through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .core import format_rational, rational
 from .geometry import build_cd, canonicalize, make_arrangement, plane_sign
-from .linprog import affine_eval
+from .linprog import affine_eval, scaled_eval
 from .network import Network, NeuronId, parse_neuron_id
 
 __all__ = [
@@ -89,10 +100,13 @@ class PwlFunction:
 
 
 def sign_position(planes, x) -> str:
-    """The position of point x over the planes: one '+-=' sign each."""
+    """The position of the rational point x over the planes: one '+-=' sign
+    each, read in integers with x put over one common denominator."""
+    den = math.lcm(*(v.denominator for v in x))
+    num = [v.numerator * (den // v.denominator) for v in x]
     pos = ""
     for h in planes:
-        v = affine_eval(h, x)
+        v = scaled_eval(h, num, den)
         pos += "+" if v > 0 else "-" if v < 0 else "="
     return pos
 
@@ -109,13 +123,13 @@ def _zero_component(m: int) -> tuple:
 
 def _positions(m: int, planes, value):
     """The breakplanes of the arrangement of ``planes`` and a map from each
-    of its realizable positions to ``value(position, sample)``.
+    of its realizable positions to ``value(position, cell)``.
 
     ``make_arrangement`` canonicalizes the planes and drops duplicates in
     first-appearance order; those are the breakplanes.  Positions are read
     from the stacks of the full-level cells, which partition R^m, so every
-    realizable position is reached, in the order of its first cell, whose
-    sample ``value`` gets.
+    realizable position is reached, in the order of its first cell, which
+    ``value`` gets.
     """
     arr = make_arrangement(m, planes)
     cd = build_cd(arr)
@@ -124,13 +138,13 @@ def _positions(m: int, planes, value):
     for cell in cd.levels[m]:
         pos = cell_position(signs, cell.id)
         if pos not in values:
-            values[pos] = value(pos, cell.sample)
+            values[pos] = value(pos, cell)
     return arr.hyperplanes, values
 
 
 def _refine(m: int, planes, component) -> PwlFunction:
     """The function over the arrangement of ``planes``, one polytope per
-    realizable position, with the component ``component(position, sample)``
+    realizable position, with the component ``component(position, cell)``
     (see ``_positions``)."""
     breakplanes, polys = _positions(m, planes, component)
     return PwlFunction(m=m, breakplanes=breakplanes, polytopes=tuple(polys.items()))
@@ -143,8 +157,8 @@ def _refine(m: int, planes, component) -> PwlFunction:
 
 def init_inputs(m: int):
     """The m coordinate projections as (trivially proper) PWL functions.
-    Like the other stages, PWL algebra behind hidden targets and the
-    tests' stage-by-stage reference for ``pwl_from_network``."""
+    Like the other stages, in ``Fraction``s: the tests' stage-by-stage
+    reference for ``pwl_from_network``."""
     if m < 1:
         raise ValueError("need at least one input")
     out = []
@@ -187,7 +201,7 @@ def sum_stage(fs, bias=0) -> PwlFunction:
     index = {h: i for i, h in enumerate(dict.fromkeys(planes))}
     summands = [(f, [index[h] for h in f.breakplanes]) for f in fs]
 
-    def component(pos, _sample):
+    def component(pos, _cell):
         comp = [bias] + [Fraction(0)] * m
         for f, at in summands:
             sub = "".join(pos[i] for i in at)
@@ -213,13 +227,13 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
     n_old = len(f.breakplanes)
     zero_sets = [comp for _pos, comp in f.polytopes if any(a != 0 for a in comp[1:])]
 
-    def component(pos, sample):
+    def component(pos, cell):
         comp = f.by_position.get(pos[:n_old])
         if comp is None:
             raise ValueError(
                 f"function is not proper: no polytope at position {pos[:n_old]!r}"
             )
-        return comp if affine_eval(comp, sample) > 0 else _zero_component(f.m)
+        return comp if affine_eval(comp, cell.sample) > 0 else _zero_component(f.m)
 
     return _refine(f.m, [*f.breakplanes, *zero_sets], component)
 
@@ -229,19 +243,45 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
 # ---------------------------------------------------------------------------
 
 
-def _affine_map(values, neuron, m: int) -> dict:
-    """A neuron's pre-activation on every position: its bias plus the
-    weighted sum of the previous layer's components there."""
+def _scaled_map(values, scales, neuron, m: int):
+    """A neuron's pre-activation on every position, times a positive scale
+    s, in integers; returns the map and s as a pair of positive ints (n, d)
+    with s = n/d.
+
+    Input i of the neuron is ``comps[i]·d_i/n_i`` on each position, with
+    ``comps[i]`` an integer component and (n_i, d_i) = ``scales[i]``.  The
+    bias and the weights times d_i/n_i, as ratios of ints, are multiplied
+    by the lcm of their denominators and divided by the gcd of the results.
+    That gives the coprime ints q and the scale s = lcm/gcd with s·pre =
+    q_0 + Σ q_i·comps[i].  q is the one coprime integer vector with a
+    positive multiple equal to the coefficients, so it does not depend on
+    the ratios being reduced.
+    """
     bias = rational(neuron.bias)
-    weights = [rational(w) for w in neuron.weights]
+    nums, dens = [bias.numerator], [bias.denominator]
+    for w, (n, d) in zip(neuron.weights, scales, strict=True):
+        w = rational(w)
+        nums.append(w.numerator * d)
+        dens.append(w.denominator * n)
+    lcm = math.lcm(*dens)
+    q = [a * (lcm // b) for a, b in zip(nums, dens)]
+    g = math.gcd(*q) or 1  # all zero: any positive scale does
+    bias, weights = q[0] // g, [a // g for a in q[1:]]
     out = {}
     for pos, comps in values.items():
-        total = [bias] + [Fraction(0)] * m
-        for w, comp in zip(weights, comps, strict=True):
+        total = [bias] + [0] * m
+        for w, comp in zip(weights, comps):
             for j, a in enumerate(comp):
                 total[j] += w * a
         out[pos] = tuple(total)
-    return out
+    return out, (lcm, g)
+
+
+def _rational_polytopes(scaled, scale) -> tuple:
+    """The (position, component) pairs of a map of integer components over
+    the scale n/d, as ``Fraction``s."""
+    n, d = scale
+    return tuple((pos, tuple(Fraction(a * d, n) for a in c)) for pos, c in scaled.items())
 
 
 def pwl_from_network(net: Network, target=None) -> PwlFunction:
@@ -260,11 +300,15 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
     weight of 0 keeps a summand's planes (``scale_stage``).  The zero-sets
     of the non-constant pre-activation components, neuron by neuron and
     each in position order, join the planes, and one decomposition gives
-    the layer's positions, each neuron's ReLU read at the position's
-    sample.  The output is the affine map of the last tuple, with no
+    the layer's positions, each neuron's ReLU read at the position's first
+    cell.  The output is the affine map of the last tuple, with no
     decomposition; a hidden target runs the layers before its own and
     applies ``relu_stage`` to its pre-activation.  So no more
     decompositions are built than there are hidden layers.
+
+    The layer tuples hold integer components over positive per-neuron
+    scales (``_scaled_map``; see the module docstring), and the ReLU test
+    is the sign of ``scaled_eval`` at the cell's sample numerators.
     """
     if target is None:
         target = NeuronId("output", 1, net.depth)
@@ -283,22 +327,25 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
 
     m = net.inputs
     planes = ()  # the inputs: coordinate projections on the empty arrangement
-    values = {"": tuple(f.polytopes[0][1] for f in init_inputs(m))}
+    values = {"": tuple(tuple(int(j == i) for j in range(m + 1)) for i in range(1, m + 1))}
+    scales = ((1, 1),) * m
+    zero = (0,) * (m + 1)
     for k, layer in enumerate(net.hidden, start=1):
         if target.role == "hidden" and target.layer == k:
-            pre = _affine_map(values, layer[target.index - 1], m)
-            return relu_stage(PwlFunction(m=m, breakplanes=planes, polytopes=tuple(pre.items())))
-        pres = [_affine_map(values, neuron, m) for neuron in layer]
+            pre = _rational_polytopes(*_scaled_map(values, scales, layer[target.index - 1], m))
+            return relu_stage(PwlFunction(m=m, breakplanes=planes, polytopes=pre))
+        pres, scales = zip(*(_scaled_map(values, scales, neuron, m) for neuron in layer))
         n_old = len(planes)
-        zero_sets = [c for pre in pres for c in pre.values() if any(a != 0 for a in c[1:])]
+        zero_sets = [c for pre in pres for c in pre.values() if any(c[1:])]
 
-        def post(pos, sample):
-            comps = (pre[pos[:n_old]] for pre in pres)
-            return tuple(c if affine_eval(c, sample) > 0 else _zero_component(m) for c in comps)
+        def post(pos, cell):
+            at, num, den = pos[:n_old], cell.num, cell.den
+            comps = (pre[at] for pre in pres)
+            return tuple(c if scaled_eval(c, num, den) > 0 else zero for c in comps)
 
         planes, values = _positions(m, [*planes, *zero_sets], post)
-    out = _affine_map(values, net.outputs[target.index - 1], m)
-    return PwlFunction(m=m, breakplanes=planes, polytopes=tuple(out.items()))
+    out = _scaled_map(values, scales, net.outputs[target.index - 1], m)
+    return PwlFunction(m=m, breakplanes=planes, polytopes=_rational_polytopes(*out))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +390,11 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
     restricted = (restrict_coeffs(h) for h in f.breakplanes)
     planes = [r for r in restricted if any(a != 0 for a in r[1:])]
 
-    def component(_pos, sample):
+    def component(_pos, cell):
         lifted = [None] * f.m
         for i, v in fixed.items():
             lifted[i - 1] = v
-        for i, v in zip(remaining, sample):
+        for i, v in zip(remaining, cell.sample):
             lifted[i - 1] = v
         return restrict_coeffs(f.component_at(lifted))
 
@@ -396,6 +443,8 @@ def graph_sign(cd, f: PwlFunction, args, result: int):
     comps = dict.fromkeys(comp for _pos, comp in f.polytopes)
     on_graph = {comp: plane_sign(cd, g) for comp, g in zip(comps, planes[k:])}
     by_position = {pos: on_graph[comp] for pos, comp in f.by_position.items()}
+    if not k and "" in by_position:  # one component: no position to read
+        return by_position[""]
 
     def sign(cid):
         pos = cell_position(signs, cid)

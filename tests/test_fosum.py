@@ -209,7 +209,7 @@ def test_deepest_accepted_nesting_parses_and_evaluates():
     deepest = {"paren term": 99, "paren formula": 48, "minus": 99, "sum": 96}
     for kind, nested in NESTED.items():
         n = deepest.get(kind, 97)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="nests deeper than"):
             parse_fosum(nested(n + 1), VOCAB)
         ast = parse_fosum(nested(n), VOCAB)
         sign = -1 if kind in ("not", "minus") and n % 2 else 1

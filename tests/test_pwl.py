@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nnquery import pwl
-from nnquery.geometry import build_cd, make_arrangement
+from nnquery.geometry import build_cd, canonicalize, make_arrangement
+from nnquery.linprog import affine_eval
 from nnquery.network import Network, Neuron, NeuronId, forward, load_network
 from nnquery.pwl import (
     PwlFunction,
@@ -20,10 +21,18 @@ from nnquery.pwl import (
     pwl_to_json,
     relu_stage,
     scale_stage,
+    sign_position,
     sum_stage,
 )
 
-from oracles import hidden_preactivations, oracle_pwl_proper, random_network, random_point
+from oracles import (
+    hidden_preactivations,
+    oracle_forward,
+    oracle_pwl_proper,
+    random_network,
+    random_point,
+    random_rational,
+)
 
 F = Fraction
 
@@ -176,9 +185,16 @@ def every_target(net):
             yield NeuronId("hidden", j, k)
 
 
+# a prime past 2^64, so denominators leave the machine word
+BIG = 2**64 + 13
+
+
 def reference_nets():
     """Seeded random nets with 1-3 inputs and 1-3 hidden layers, one with a
-    zero weight and one with a neuron whose pre-activation is constant."""
+    zero weight and one with a neuron whose pre-activation is constant, then
+    nets that stress the integer scaling of the hidden layers: coprime prime
+    denominators of 1,000-10,000 and one past 2^64, four hidden layers, zero
+    weights past the first layer and negative output weights."""
     rng = random.Random(20261020)
     for m in (1, 2, 3):
         for hidden in (1, 2, 3):
@@ -203,9 +219,88 @@ def reference_nets():
         ],
         outputs=[Neuron(F(0), (F(1), F(1), F(-1)))],
     )
+    yield Network(
+        inputs=2,
+        hidden=[
+            [
+                Neuron(F(3, 1009), (F(7, 4999), F(-5, 7919))),
+                Neuron(F(-2, 9973), (F(11, 1013), F(1, BIG))),
+            ],
+            [
+                Neuron(F(1, 2003), (F(-13, 6007), F(17, 1009))),
+                Neuron(F(5, 7919), (F(2, 9967), F(-3, 4999))),
+            ],
+        ],
+        outputs=[Neuron(F(1, 9973), (F(-7, 2003), F(3, 1013)))],
+    )
+    yield Network(
+        inputs=1,
+        hidden=[
+            [Neuron(F(1, 1009), (F(3, 7919),)), Neuron(F(-1, 4999), (F(-2, 9973),))],
+            [
+                Neuron(F(1, 1013), (F(5, 2003), F(-7, 6007))),
+                Neuron(F(-3, 9967), (F(2, 1009), F(11, BIG))),
+            ],
+            [
+                Neuron(F(2, 4999), (F(-1, 7919), F(13, 1013))),
+                Neuron(F(1, 6007), (F(7, 9973), F(3, 2003))),
+            ],
+            [
+                Neuron(F(-1, 9967), (F(17, 1009), F(-5, 4999))),
+                Neuron(F(3, 7919), (F(2, 1013), F(1, 6007))),
+            ],
+        ],
+        outputs=[Neuron(F(0), (F(-3, 2003), F(-1, 9973)))],
+    )
+    # zero weights in the second layer and the output, and a neuron whose
+    # bias and weights are all zero, so its scale is free
+    yield Network(
+        inputs=2,
+        hidden=[
+            [Neuron(F(1, 2), (F(1, 3), F(-2, 5))), Neuron(F(-1, 7), (F(3, 4), F(1, 6)))],
+            [
+                Neuron(F(1, 5), (F(0), F(2, 3))),
+                Neuron(F(0), (F(-1, 2), F(0))),
+                Neuron(F(0), (F(0), F(0))),
+            ],
+            [Neuron(F(2, 3), (F(-1), F(0), F(4))), Neuron(F(-1, 3), (F(1, 2), F(3), F(0)))],
+        ],
+        outputs=[Neuron(F(1, 3), (F(0), F(-5, 2)))],
+    )
+
+
+def on_plane(h, x):
+    """The point x moved onto the plane h along its last coordinate with a
+    nonzero coefficient."""
+    k = max(j for j in range(1, len(h)) if h[j])
+    x = list(x)
+    x[k - 1] = F(0)
+    x[k - 1] = -affine_eval(h, x) / h[k]
+    return x
+
+
+def reading_points(rng, f):
+    """Random points with small denominators, two with denominators past
+    2^64, and one on each breakplane."""
+    xs = [random_point(rng, f.m) for _ in range(6)]
+    xs += [[F(rng.randint(-5 * BIG, 5 * BIG), BIG) for _ in range(f.m)] for _ in range(2)]
+    return xs + [on_plane(h, random_point(rng, f.m)) for h in f.breakplanes]
 
 
 class TestLayerExtraction:
+    def test_matches_the_oracle_forward_pass(self):
+        rng = random.Random(20261021)
+        for net in reference_nets():
+            for target in every_target(net):
+                f = pwl_from_network(net, target)
+                for x in reading_points(rng, f):
+                    if target.role == "output":
+                        want = oracle_forward(net, x)[target.index - 1]
+                    else:
+                        pre = hidden_preactivations(net, x)[target.layer - 1][target.index - 1]
+                        want = max(pre, 0)
+                    assert pwl_eval(f, x) == want, (net, target, x)
+
     def test_equals_the_stage_by_stage_composition(self):
         for net in reference_nets():
             for target in every_target(net):
@@ -233,6 +328,30 @@ class TestLayerExtraction:
 
 
 class TestEval:
+    def test_sign_position_matches_affine_eval(self):
+        # positions are read in integers over a common denominator; the
+        # points mix denominators of 1, 8 and past 2^64, and half of them
+        # lie exactly on a plane
+        rng = random.Random(20261022)
+        dens = (1, 8, BIG, 3 * BIG, 2**80 + 23)
+        for _ in range(300):
+            m = rng.randint(1, 3)
+            planes = [
+                canonicalize([*(random_rational(rng) for _ in range(m)), random_rational(rng) or 1])
+                for _ in range(rng.randint(1, 4))
+            ]
+            x = [F(rng.randint(-5 * den, 5 * den), den) for den in rng.choices(dens, k=m)]
+            on = rng.randrange(2 * len(planes))
+            if on < len(planes):
+                x = on_plane(planes[on], x)
+            want = "".join(
+                "+" if v > 0 else "-" if v < 0 else "=" for v in (affine_eval(h, x) for h in planes)
+            )
+            assert on >= len(planes) or want[on] == "="
+            assert sign_position(planes, x) == want, (planes, x)
+        assert sign_position(((0, 1), (-3, 2)), [3]) == "++"  # int coordinates
+        assert sign_position(((F(-3, 2), F(1)),), [F(3, 2)]) == "="  # Fraction planes
+
     def test_eval_dimension_check(self):
         f = pwl_from_network(relu_net())
         with pytest.raises(ValueError):
