@@ -1,11 +1,14 @@
 """Fingerprints of the query normal form over seeded random sentences.
 
-Draws closed sentences, half from the test oracles' random ordered
-sentences (linear atoms and F(x⃗) = y atoms under a random boolean tree)
-and half sugared: abs, min, max, dist_linf, dist_l1 and F around linear
-terms, summed with small coefficients, a lone piece sometimes repeated and
-an F piece sometimes scaled by 0.  Each sentence is evaluated on a seeded random
-network.  One line per sentence:
+Draws closed sentences of three kinds in turn: the test oracles' random
+ordered sentences (linear atoms and F(x⃗) = y atoms under a random boolean
+tree); sugared ones, with abs, min, max, dist_linf, dist_l1 and F around
+linear terms, summed with small coefficients, a lone piece sometimes
+repeated and an F piece sometimes scaled by 0; and chains, 5-12 linear
+atoms (one sometimes comparing F) joined by and, or and ->, with runs of
+them grouped in parentheses and joined the same way, so that a group
+often repeats its parent's connective.  Each sentence is evaluated on a
+seeded random network.  One line per sentence:
 
     index  kind  vars=<variable count>  planes=<digest>  truth=<bool>  <text>
 
@@ -98,18 +101,45 @@ def sugared_sentence(rng, d, m):
     return prefix + f"({matrix})"
 
 
+def _chain(rng, atoms):
+    """The atoms joined by one of and, or, ->; each run of two or more
+    atoms between the joins is a parenthesized chain of its own."""
+    if len(atoms) == 1:
+        return atoms[0]
+    cuts = sorted(rng.sample(range(1, len(atoms)), rng.randint(1, len(atoms) - 1)))
+    runs = [atoms[a:b] for a, b in zip([0, *cuts], [*cuts, len(atoms)])]
+    op = rng.choice(("and", "or", "->"))
+    return f" {op} ".join(r[0] if len(r) == 1 else f"({_chain(rng, r)})" for r in runs)
+
+
+def chain_sentence(rng, d, m):
+    """A closed sentence over x1..xd whose matrix is a nested chain of 5-12
+    atoms; F appears in at most one of them."""
+    xs = [f"x{i}" for i in range(1, d + 1)]
+    prefix = "".join(f"{rng.choice(('exists', 'forall'))} {x} . " for x in xs)
+    atoms = []
+    for _ in range(rng.randint(5, 12)):
+        rel = rng.choice(("<", ">", "<=", ">=", "="))
+        atoms.append(f"{_linear(rng, xs)} {rel} {_linear(rng, xs)}")
+    if d >= m and rng.random() < 0.5:
+        atoms[rng.randrange(len(atoms))] = f"F({_f_args(rng, xs, m)}) > {_linear(rng, xs)}"
+    return prefix + f"({_chain(rng, atoms)})"
+
+
 def sentence(seed, i):
     """The i-th sentence for a seed: (kind, text, network)."""
     rng = random.Random(f"{seed}/{i}")
     m = rng.choice((1, 1, 2))
     net = random_network(rng, m, rng.randint(1, 2), max_width=2)
-    if i % 2 == 0:
+    if i % 3 == 0:
         d = rng.randint(m, 3) if m == 1 else 3
         text, _prefix, _matrix = random_ordered_sentence(
             rng, d, m, rng.randint(1, 3), with_f=d > m
         )
         return "plain", text, net
-    return "sugar", sugared_sentence(rng, rng.randint(m, 2), m), net
+    if i % 3 == 1:
+        return "sugar", sugared_sentence(rng, rng.randint(m, 2), m), net
+    return "chain", chain_sentence(rng, rng.randint(m, 2), m), net
 
 
 def fingerprint(text, net):

@@ -91,6 +91,17 @@ def nesting_limit(limit: int, language: str):
     return decorate
 
 
+def connective(kind, parts):
+    """The n-ary connective node ``kind(args)`` over ``parts``, in order; a
+    part that is a ``kind`` node itself contributes its ``args`` in place.
+    A single part is returned as it is, so every node has two or more args.
+    """
+    args = []
+    for part in parts:
+        args += part.args if type(part) is kind else (part,)
+    return args[0] if len(args) == 1 else kind(tuple(args))
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q' (lowest terms, q > 0)."""
     if q.denominator == 1:

@@ -15,8 +15,13 @@ every sub-term that appeared syntactically even when its coefficients cancel,
 so that `t - t` is still ⊥ when t is ⊥ — cancellation must not launder
 undefinedness into 0.
 
-Bound variables are renamed apart during parsing, so no variable is bound
-twice along any path of the returned AST.
+`and` and `or` are n-ary, one node per chain of operands (parenthesized
+groups included), so every walk over a formula recurses by nesting depth
+only; `a implies b` is lowered at parse time to `(not a) or b`.
+
+Bound variables are renamed apart during parsing, to names no input can
+spell, so no variable is bound twice along any path of the returned AST
+and no binder captures a free variable.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from nnquery.core import (
     LiftedValue,
     Vocabulary,
     WeightedStructure,
+    connective,
     ladd,
     lifted_compare,
     nesting_limit,
@@ -122,20 +128,14 @@ class FNot:
 
 @dataclass(frozen=True)
 class FAnd:
-    left: object
-    right: object
+    """Conjunction of two or more formulas; build it with ``connective``."""
+    args: tuple
 
 
 @dataclass(frozen=True)
 class FOr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FImplies:
-    left: object
-    right: object
+    """Disjunction of two or more formulas; build it with ``connective``."""
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class FForall:
 
 
 Term = (TBottom, TWeight, TRationalFunction, TIf, TSum)
-Formula = (FRel, FEqStd, FCompare, FNot, FAnd, FOr, FImplies, FExists, FForall)
+Formula = (FRel, FEqStd, FCompare, FNot, FAnd, FOr, FExists, FForall)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +395,11 @@ class _Parser:
             raise ParseError(f"invalid variable name {name!r}", at)
         if name in self.vocab.all_names():
             raise ParseError(f"variable {name!r} shadows a vocabulary symbol", at)
+        # '#' is no identifier character, so no input names a renamed binder
         fresh = name
         k = 2
         while fresh in self.binder_names:
-            fresh = f"{name}__{k}"
+            fresh = f"{name}#{k}"
             k += 1
         self.binder_names.add(fresh)
         self.scopes[-1][name] = fresh
@@ -418,28 +419,22 @@ class _Parser:
             body = self.parse_formula()
             self.scopes.pop()
             return FExists(fresh, body) if word == "exists" else FForall(fresh, body)
-        return self._parse_implies()
-
-    def _parse_implies(self):
-        left = self._parse_or()
-        if self._at_kw("implies"):
+        left = connective(FOr, self._operands("or", self._parse_and))
+        if self._at_kw("implies"):  # lowered here: a implies b is (not a) or b
             self._next()
-            return FImplies(left, self.parse_formula())
+            return connective(FOr, (FNot(left), self.parse_formula()))
         return left
 
-    def _parse_or(self):
-        left = self._parse_and()
-        while self._at_kw("or"):
+    def _operands(self, word, read):
+        """The operands, each read by ``read``, of a chain joined by ``word``."""
+        parts = [read()]
+        while self._at_kw(word):
             self._next()
-            left = FOr(left, self._parse_and())
-        return left
+            parts.append(read())
+        return parts
 
     def _parse_and(self):
-        left = self._parse_atomf()
-        while self._at_kw("and"):
-            self._next()
-            left = FAnd(left, self._parse_atomf())
-        return left
+        return connective(FAnd, self._operands("and", self._parse_atomf))
 
     @_nesting
     def _parse_atomf(self):
@@ -729,11 +724,15 @@ def eval_formula(s: WeightedStructure, f, v: dict) -> bool:
     if isinstance(f, FNot):
         return not eval_formula(s, f.sub, v)
     if isinstance(f, FAnd):
-        return eval_formula(s, f.left, v) and eval_formula(s, f.right, v)
+        for sub in f.args:
+            if not eval_formula(s, sub, v):
+                return False
+        return True
     if isinstance(f, FOr):
-        return eval_formula(s, f.left, v) or eval_formula(s, f.right, v)
-    if isinstance(f, FImplies):
-        return (not eval_formula(s, f.left, v)) or eval_formula(s, f.right, v)
+        for sub in f.args:
+            if eval_formula(s, sub, v):
+                return True
+        return False
     if isinstance(f, FExists):
         vv = dict(v)
         for e in s.domain:
@@ -757,7 +756,7 @@ def free_variables(node) -> set:
         return {node.name}
     if isinstance(node, (SConst, TBottom)):
         return set()
-    if isinstance(node, (TWeight, FRel)):
+    if isinstance(node, (TWeight, FRel, FAnd, FOr)):
         return set().union(*(free_variables(a) for a in node.args)) if node.args else set()
     if isinstance(node, TRationalFunction):
         out = set()
@@ -768,14 +767,10 @@ def free_variables(node) -> set:
         return free_variables(node.cond) | free_variables(node.then) | free_variables(node.other)
     if isinstance(node, TSum):
         return (free_variables(node.guard) | free_variables(node.body)) - set(node.variables)
-    if isinstance(node, (FEqStd,)):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, FCompare):
+    if isinstance(node, (FEqStd, FCompare)):
         return free_variables(node.left) | free_variables(node.right)
     if isinstance(node, FNot):
         return free_variables(node.sub)
-    if isinstance(node, (FAnd, FOr, FImplies)):
-        return free_variables(node.left) | free_variables(node.right)
     if isinstance(node, (FExists, FForall)):
         return free_variables(node.body) - {node.var}
     raise TypeError(f"not a term or formula: {node!r}")

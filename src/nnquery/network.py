@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from nnquery.core import BOT, Vocabulary, WeightedStructure, format_rational, rational
+from nnquery.core import BOT, Vocabulary, WeightedStructure, connective, format_rational, rational
 from nnquery.fosum import (
     FAnd,
     FCompare,
@@ -301,7 +301,7 @@ def _preactivation_term(m: int, level: int, target, exclude_var: str = None):
     x = f"u{level - 1}"
     guard = FRel("E", (SVar(x), target))
     if exclude_var is not None:
-        guard = FAnd(guard, FNot(FEqStd(SVar(x), SVar(exclude_var))))
+        guard = connective(FAnd, (guard, FNot(FEqStd(SVar(x), SVar(exclude_var)))))
     body = t_mul(
         TWeight("w", (SVar(x), target)),
         t_relu(_preactivation_term(m, level - 1, SVar(x), exclude_var)),
@@ -360,9 +360,9 @@ def useless_neurons(net: Network, vals, eps) -> set:
         t_ablate = build_eval_term(net.inputs, net.depth, j, exclude_var="z")
         diff = t_add(t_full, t_neg(t_ablate))
         checks.append(
-            FAnd(
-                FCompare("lt", t_neg(t_const(eps)), diff),
-                FCompare("lt", diff, t_const(eps)),
+            connective(
+                FAnd,
+                (FCompare("lt", t_neg(t_const(eps)), diff), FCompare("lt", diff, t_const(eps))),
             )
         )
     logical = {

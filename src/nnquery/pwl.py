@@ -19,12 +19,12 @@ makes its components coprime ints, and the next layer divides the scale
 into its weights.  ReLU is positively homogeneous, relu(s·u) = s·relu(u)
 for s > 0, so a scaled value has the same signs and zero-sets as the true
 one, and the planes, positions and function are unchanged; each ReLU test
-is an integer dot product with a cell's sample numerators.  Only the
-output's components (and a hidden target's pre-activation) become
-``Fraction``s, and ``sign_position`` reads a point's signs in integers
-too.  The stages (scaling, summation with plane union, exact ReLU) are the
-same algebra on one function at a time, in ``Fraction``s: the tests'
-reference, and ``relu_stage`` ends a hidden target.  The properness check
+is an integer dot product with a cell's sample numerators.  A hidden
+target is read out of a last layer that holds it alone, so only the
+read-out components become ``Fraction``s, and ``sign_position`` reads a
+point's signs in integers too.  The stages (scaling, summation with
+plane union, exact ReLU) are the same algebra on one function at a time,
+in ``Fraction``s: the tests' reference.  The properness check
 lives with the test oracles, where feasibility goes through Fourier–Motzkin
 elimination instead, so construction and verification follow independent
 routes.
@@ -45,7 +45,7 @@ from fractions import Fraction
 from .core import format_rational, rational
 from .geometry import build_cd, canonicalize, make_arrangement, plane_sign
 from .linprog import affine_eval, scaled_eval
-from .network import Network, NeuronId, parse_neuron_id
+from .network import Network, Neuron, NeuronId, parse_neuron_id
 
 __all__ = [
     "PwlFunction",
@@ -172,8 +172,8 @@ def init_inputs(m: int):
 
 def scale_stage(f: PwlFunction, w) -> PwlFunction:
     """Scale every component by w.  Breakplanes are kept even when w = 0,
-    so downstream stages see a stable arrangement.  PWL algebra behind
-    hidden targets and the tests' reference."""
+    so downstream stages see a stable arrangement.  PWL algebra of the
+    tests' reference."""
     w = rational(w)
     polys = tuple(
         (pos, tuple(w * a for a in comp)) for pos, comp in f.polytopes
@@ -186,8 +186,8 @@ def sum_stage(fs, bias=0) -> PwlFunction:
 
     Breakplanes are the union of the summands'; each realizable position
     over the union implies one position of every summand (restrict to its
-    planes), whose components add up.  PWL algebra behind hidden targets
-    and the tests' reference.
+    planes), whose components add up.  PWL algebra of the tests'
+    reference.
     """
     fs = list(fs)
     if not fs:
@@ -221,9 +221,8 @@ def relu_stage(f: PwlFunction) -> PwlFunction:
     """Apply ReLU exactly: each non-constant component's zero-set joins the
     breakplanes, and components are kept where positive, zeroed elsewhere.
     A constant component contributes no plane (its zero-set is not a
-    hyperplane); it is kept or zeroed by its sign alone.  Extraction ends
-    a hidden target with this stage, and the tests' reference applies it
-    to every neuron."""
+    hyperplane); it is kept or zeroed by its sign alone.  The tests'
+    reference applies it to every neuron."""
     n_old = len(f.breakplanes)
     zero_sets = [comp for _pos, comp in f.polytopes if any(a != 0 for a in comp[1:])]
 
@@ -277,13 +276,6 @@ def _scaled_map(values, scales, neuron, m: int):
     return out, (lcm, g)
 
 
-def _rational_polytopes(scaled, scale) -> tuple:
-    """The (position, component) pairs of a map of integer components over
-    the scale n/d, as ``Fraction``s."""
-    n, d = scale
-    return tuple((pos, tuple(Fraction(a * d, n) for a in c)) for pos, c in scaled.items())
-
-
 def pwl_from_network(net: Network, target=None) -> PwlFunction:
     """Exact PWL representation of the value computed at ``target``.
 
@@ -302,9 +294,9 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
     each in position order, join the planes, and one decomposition gives
     the layer's positions, each neuron's ReLU read at the position's first
     cell.  The output is the affine map of the last tuple, with no
-    decomposition; a hidden target runs the layers before its own and
-    applies ``relu_stage`` to its pre-activation.  So no more
-    decompositions are built than there are hidden layers.
+    decomposition; a hidden target is read out, with weight 1, of a last
+    layer that holds it alone.  So no more decompositions are built than
+    there are hidden layers.
 
     The layer tuples hold integer components over positive per-neuron
     scales (``_scaled_map``; see the module docstring), and the ReLU test
@@ -321,19 +313,20 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
             1 <= target.index <= len(net.hidden[target.layer - 1])
         ):
             raise ValueError(f"no such hidden neuron: {target}")
+        last = (net.hidden[target.layer - 1][target.index - 1],)
+        layers = (*net.hidden[: target.layer - 1], last)
+        readout = Neuron(Fraction(0), (Fraction(1),))
     else:
         if not 1 <= target.index <= len(net.outputs):
             raise ValueError(f"no such output neuron: {target}")
+        layers, readout = net.hidden, net.outputs[target.index - 1]
 
     m = net.inputs
     planes = ()  # the inputs: coordinate projections on the empty arrangement
     values = {"": tuple(tuple(int(j == i) for j in range(m + 1)) for i in range(1, m + 1))}
     scales = ((1, 1),) * m
     zero = (0,) * (m + 1)
-    for k, layer in enumerate(net.hidden, start=1):
-        if target.role == "hidden" and target.layer == k:
-            pre = _rational_polytopes(*_scaled_map(values, scales, layer[target.index - 1], m))
-            return relu_stage(PwlFunction(m=m, breakplanes=planes, polytopes=pre))
+    for layer in layers:
         pres, scales = zip(*(_scaled_map(values, scales, neuron, m) for neuron in layer))
         n_old = len(planes)
         zero_sets = [c for pre in pres for c in pre.values() if any(c[1:])]
@@ -344,8 +337,9 @@ def pwl_from_network(net: Network, target=None) -> PwlFunction:
             return tuple(c if scaled_eval(c, num, den) > 0 else zero for c in comps)
 
         planes, values = _positions(m, [*planes, *zero_sets], post)
-    out = _scaled_map(values, scales, net.outputs[target.index - 1], m)
-    return PwlFunction(m=m, breakplanes=planes, polytopes=_rational_polytopes(*out))
+    out, (n, d) = _scaled_map(values, scales, readout, m)
+    polys = tuple((pos, tuple(Fraction(a * d, n) for a in c)) for pos, c in out.items())
+    return PwlFunction(m=m, breakplanes=planes, polytopes=polys)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ The query language is first-order logic over the reals with rational
 linear arithmetic, comparisons, boolean connectives, quantifiers, and a
 function symbol ``F`` denoting the network's input→output map.  The parser
 reads every term as one linear form (``XLin``) over variables and nodes,
-a node being ``abs``, ``min``, ``max`` or ``F`` of linear forms, and reads
-``a -> b`` as ``not a or b``; arithmetic folds as it parses, so a product
-of two non-constant forms is rejected there.  One normalizer pass over the
-atoms case-splits the ``abs``/``min``/``max`` nodes (and so the distance
-helpers) and makes ``F(x⃗) = y`` an f-atom; the remaining F nodes are then
-pulled into f-atoms.  Every rewrite of a term (renaming, case-splitting,
-F extraction) maps it through ``_map_terms``.
+a node being ``abs``, ``min``, ``max`` or ``F`` of linear forms.  A chain
+of ``and`` or of ``or`` is one n-ary node (``connective``), and
+``a -> b -> c`` is lowered to ``not a or not b or c``, so every walk over
+a formula recurses by nesting depth only.  Arithmetic folds as it parses,
+so a product of two non-constant forms is rejected there.  One normalizer
+pass over the atoms case-splits the ``abs``/``min``/``max`` nodes (and so
+the distance helpers) and makes ``F(x⃗) = y`` an f-atom; the remaining F
+nodes are then pulled into f-atoms.  Every rewrite of a term (renaming,
+case-splitting, F extraction) maps it through ``_map_terms``.
 
 Evaluation is exact and geometric.  A query is normalized into an *ordered
 prenex* form — free variables first, then the quantified variables in
@@ -35,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import nesting_limit, rational
+from .core import connective, nesting_limit, rational
 from .geometry import Arrangement, build_cd, make_arrangement, plane_sign
 from .network import Network
 from .pwl import PwlFunction, graph_sign, lift_graph, pwl_from_network
@@ -123,14 +125,12 @@ class PNot:
 
 @dataclass(frozen=True)
 class PAnd:
-    a: object
-    b: object
+    args: tuple  # two or more sub-formulas; built by ``connective``
 
 
 @dataclass(frozen=True)
 class POr:
-    a: object
-    b: object
+    args: tuple  # two or more sub-formulas; built by ``connective``
 
 
 @dataclass(frozen=True)
@@ -280,29 +280,24 @@ class _QueryParser:
 
     # formulas --------------------------------------------------------------
 
-    def parse_formula(self):
-        parts = [self.parse_or()]
-        while self.peek()[:2] == ("op", "->"):
+    def operands(self, token, read):
+        """The operands, each read by ``read``, of a chain joined by token."""
+        parts = [read()]
+        while self.peek()[:2] == token:
             self.take()
-            parts.append(self.parse_or())
-        out = parts.pop()
-        for left in reversed(parts):  # '->' associates to the right
-            out = POr(PNot(left), out)
-        return out
+            parts.append(read())
+        return parts
+
+    def parse_formula(self):
+        # '->' associates to the right: a -> (b -> c) is not a or not b or c
+        parts = self.operands(("op", "->"), self.parse_or)
+        return connective(POr, [*map(PNot, parts[:-1]), parts[-1]])
 
     def parse_or(self):
-        left = self.parse_and()
-        while self.peek()[:2] == ("ident", "or"):
-            self.take()
-            left = POr(left, self.parse_and())
-        return left
+        return connective(POr, self.operands(("ident", "or"), self.parse_and))
 
     def parse_and(self):
-        left = self.parse_unary()
-        while self.peek()[:2] == ("ident", "and"):
-            self.take()
-            left = PAnd(left, self.parse_unary())
-        return left
+        return connective(PAnd, self.operands(("ident", "and"), self.parse_unary))
 
     @_nesting
     def parse_unary(self):
@@ -501,17 +496,17 @@ def _sub_formulas(node):
     if isinstance(node, (PNot, PExists, PForall)):
         return (node.body,)
     if isinstance(node, (PAnd, POr)):
-        return (node.a, node.b)
+        return node.args
     return ()
 
 
 def _map_formula(node, fn, *args):
     """The node with fn(sub, *args) applied to each direct sub-formula,
-    left to right."""
+    left to right; a mapped and/or splices in sub-formulas of its kind."""
     if isinstance(node, PNot):
         return PNot(fn(node.body, *args))
     if isinstance(node, (PAnd, POr)):
-        return type(node)(fn(node.a, *args), fn(node.b, *args))
+        return connective(type(node), [fn(sub, *args) for sub in node.args])
     if isinstance(node, (PExists, PForall)):
         return type(node)(node.var, fn(node.body, *args))
     return node
@@ -580,11 +575,11 @@ def _split(rel, lhs: XLin, rhs: XLin):
         a, b = node.args
         low = isinstance(node, XMin)
         cases = (("<=" if low else ">=", a), (">" if low else "<", b))
-    (g1, v1), (g2, v2) = cases
-    return POr(
-        PAnd(PCmp(g1, a, b), _split(rel, _replace(lhs, node, v1), _replace(rhs, node, v1))),
-        PAnd(PCmp(g2, a, b), _split(rel, _replace(lhs, node, v2), _replace(rhs, node, v2))),
-    )
+    branches = [
+        (PCmp(g, a, b), _split(rel, _replace(lhs, node, v), _replace(rhs, node, v)))
+        for g, v in cases
+    ]
+    return connective(POr, [connective(PAnd, branch) for branch in branches])
 
 
 def _plain_var(e: XLin):
@@ -683,8 +678,7 @@ def _pull_occurrences(node, trigger, gensym):
         body = _subst_occurrence(body, occ, r)
     if not defs:
         return node
-    for d in reversed(defs):
-        body = PAnd(d, body)
+    body = connective(PAnd, (*defs, body))
     for name in reversed(names):
         body = PExists(name, body)
     return body
@@ -713,9 +707,8 @@ def _prenex(node):
         ]
         return flipped, PNot(matrix)
     if isinstance(node, (PAnd, POr)):
-        pa, ma = _prenex(node.a)
-        pb, mb = _prenex(node.b)
-        return pa + pb, type(node)(ma, mb)
+        prefixes, matrices = zip(*map(_prenex, node.args))
+        return [q for p in prefixes for q in p], connective(type(node), matrices)
     return [], node
 
 
@@ -776,7 +769,7 @@ def _lower_matrix(node, pos):
             return PNot(_strict_atom(rhs, lhs, pos))
         if node.rel == "<=":
             return PNot(_strict_atom(lhs, rhs, pos))
-        return PAnd(PNot(_strict_atom(lhs, rhs, pos)), PNot(_strict_atom(rhs, lhs, pos)))
+        return connective(PAnd, [PNot(_strict_atom(*s, pos)) for s in ((lhs, rhs), (rhs, lhs))])
     if isinstance(node, PFAtom):
         return MFAtom(tuple(pos[a] for a in node.args), pos[node.result])
     return _map_formula(node, _lower_matrix, pos)
@@ -876,10 +869,16 @@ def _predicate(cd, f, matrix):
         body = _predicate(cd, f, matrix.body)
         return lambda cid: not body(cid)
     if isinstance(matrix, (PAnd, POr)):
-        a, b = _predicate(cd, f, matrix.a), _predicate(cd, f, matrix.b)
+        # binary closures joined pairwise short-circuit left to right, nesting log2(n) deep
         if isinstance(matrix, PAnd):
-            return lambda cid: a(cid) and b(cid)
-        return lambda cid: a(cid) or b(cid)
+            join = lambda a, b: lambda cid: a(cid) and b(cid)
+        else:
+            join = lambda a, b: lambda cid: a(cid) or b(cid)
+        subs = [_predicate(cd, f, sub) for sub in matrix.args]
+        while len(subs) > 1:
+            odd = subs[len(subs) - len(subs) % 2 :]
+            subs = [join(a, b) for a, b in zip(subs[::2], subs[1::2])] + odd
+        return subs[0]
     raise RuntimeError(f"unexpected matrix node: {matrix!r}")
 
 

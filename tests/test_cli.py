@@ -265,6 +265,8 @@ class TestExitCodes:
             ["query", "--model", models["relu"], "--query-str", "exists x . F(x"],
             ["fosum", "--model", models["relu"], "--term-str", "sum{x : } 1"],
             ["fosum", "--model", models["relu"], "--term-str", "w(x, out1)"],  # free x
+            # free x__2, not captured by the renamed inner binder
+            ["fosum", "--model", models["relu"], "--term-str", "exists x (exists x E(x, x__2))"],
             [
                 "counterfactual",
                 "--model",
@@ -521,6 +523,12 @@ class TestQueryCommand:
         for cell in doc["cells"]:
             assert rational(cell["sample"]["x"]) > 1
 
+    def test_long_flat_chain(self, models, shallow_stack):
+        text = "exists x . " + " and ".join(["F(x) > 1"] * 1500)
+        r = invoke(["query", "--model", models["relu"], "--query-str", text])
+        assert r.exit_code == 0, r.output
+        assert payload_of(r)["result"] is True
+
     def test_query_file_input(self, models, tmp_path):
         qf = tmp_path / "q.txt"
         qf.write_text("exists x . F(x) = 2\n")
@@ -594,6 +602,12 @@ class TestFosumCommand:
             ]
         )
         assert payload_of(r)["result"] == "7/2"
+
+    def test_long_flat_chain(self, models, shallow_stack):
+        text = " or ".join(["E(out1, in1)"] * 1499 + ["exists x E(in1, x)"])
+        r = invoke(["fosum", "--model", models["two_in"], "--term-str", text])
+        assert r.exit_code == 0, r.output
+        assert payload_of(r)["result"] is True
 
     def test_term_from_file(self, models, tmp_path):
         tf = tmp_path / "term.txt"

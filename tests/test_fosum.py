@@ -5,9 +5,12 @@ import pytest
 
 from nnquery.core import BOT, Vocabulary, WeightedStructure
 from nnquery.fosum import (
+    FAnd,
     FCompare,
     FEqStd,
     FExists,
+    FNot,
+    FOr,
     FRel,
     Formula,
     ParseError,
@@ -133,6 +136,25 @@ def test_forall_and_connectives():
     assert eval_formula(S, parse_fosum("not forall x P(x) and P(in1)", VOCAB), {})
 
 
+def test_chains_of_one_connective_are_one_node():
+    flat = parse_fosum("P(in1) and E(in1, out1) and P(out1)", VOCAB)
+    assert isinstance(flat, FAnd) and len(flat.args) == 3
+    assert parse_fosum("P(in1) and (E(in1, out1) and P(out1))", VOCAB) == flat
+    # implication is lowered at parse: a implies b is (not a) or b
+    implies = parse_fosum("P(in1) implies E(in1, out1) or P(out1)", VOCAB)
+    assert implies == FOr((FNot(flat.args[0]), flat.args[1], flat.args[2]))
+
+
+@pytest.mark.parametrize("op, last, want", [("and", "E(in1, out1)", False), ("or", "P(in1)", True)])
+def test_long_flat_chains_parse_and_evaluate(shallow_stack, op, last, want):
+    # parsing and evaluation recurse by nesting depth, not once per operand
+    others = {"and": "P(in1)", "or": "E(in1, out1)"}[op]
+    f = parse_fosum(f" {op} ".join([others] * 1499 + [last]), VOCAB)
+    assert eval_formula(S, f, {}) is want
+    assert free_variables(f) == set()
+    assert len(f.args) == 1500
+
+
 def test_weight_comparisons_use_lifted_order():
     # b(e4) is ⊥, which is strictly below every rational
     assert eval_formula(S, parse_fosum("b(u) < 0 - 100", VOCAB), {"u": "e4"})
@@ -167,6 +189,15 @@ def test_variables_renamed_apart():
     assert isinstance(inner, FExists)
     assert inner.var not in t.variables
     assert free_variables(t) == set()
+
+
+def test_renamed_binder_captures_no_free_variable():
+    # the inner x is renamed apart under a name no input can spell, so the
+    # free variable x__2 stays free
+    f = parse_fosum("exists x (exists x E(x, x__2))", VOCAB)
+    assert free_variables(f) == {"x__2"}
+    g = parse_fosum("exists x (exists x (not x = x__2))", VOCAB)
+    assert eval_formula(S, g, {"x__2": "e0"}) is True
 
 
 def test_parse_errors():

@@ -130,6 +130,19 @@ class TestParse:
             "(x > 0 -> x > 1) -> x > 2", 1
         )
 
+    def test_chains_of_one_connective_are_one_node(self):
+        flat = parse_query("x > 0 and x > 1 and x > 2", 1)
+        assert isinstance(flat, PAnd) and len(flat.args) == 3
+        assert parse_query("x > 0 and (x > 1 and x > 2)", 1) == flat
+        assert parse_query("(x > 0 and x > 1) and x > 2", 1) == flat
+        either = parse_query("x > 0 or (x > 1 and x > 2) or x > 3", 1)
+        assert isinstance(either, POr) and len(either.args) == 3
+        assert either.args[1] == parse_query("x > 1 and x > 2", 1)
+        # a -> b -> c is one disjunction: not a or not b or c
+        implies = parse_query("x > 0 -> x > 1 -> x > 2 or x > 3", 1)
+        assert isinstance(implies, POr) and len(implies.args) == 4
+        assert [type(a) for a in implies.args[:2]] == [PNot, PNot]
+
     def test_decimal_literal_is_exact(self):
         opq = normalize_ordered_prenex(parse_query("x > 0.9", 1))
         (atom,) = _atoms(opq.matrix)
@@ -443,7 +456,7 @@ class TestSelection:
         arr = make_arrangement(1, [(Fraction(0), Fraction(1))])
         cd = build_cd(arr)
         atom = MAtom((Fraction(0), Fraction(1)))
-        tautology = PNot(PAnd(atom, PNot(atom)))
+        tautology = PNot(PAnd((atom, PNot(atom))))
         s = select_cells_qfree(cd, None, tautology)
         assert s.ids == frozenset(c.id for c in cd.levels[1])
 
@@ -535,6 +548,22 @@ class TestSelection:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        "prefix, op, last, want",
+        [
+            ("exists x .", "and", "x < 2", False),
+            ("forall x .", "or", "x < 2", True),
+            ("forall x .", "->", "x > 3", True),
+            ("forall x .", "->", "x > 5", False),
+        ],
+    )
+    def test_long_flat_chains_evaluate(self, relu_net, shallow_stack, prefix, op, last, want):
+        # every walk over the formula recurses by nesting depth, not once
+        # per atom of a chain
+        atoms = [f"x > {k % 5}" for k in range(1499)]
+        text = f"{prefix} " + f" {op} ".join([*atoms, last])
+        assert evaluate_query(relu_net, text).truth is want
+
     def test_totality(self, relu_net):
         assert evaluate_query(relu_net, "forall x . exists y . F(x) = y").truth is True
 
@@ -674,9 +703,9 @@ def _sample_satisfies(f, matrix, sample) -> bool:
     if isinstance(matrix, PNot):
         return not _sample_satisfies(f, matrix.body, sample)
     if isinstance(matrix, PAnd):
-        return _sample_satisfies(f, matrix.a, sample) and _sample_satisfies(f, matrix.b, sample)
+        return all(_sample_satisfies(f, sub, sample) for sub in matrix.args)
     if isinstance(matrix, POr):
-        return _sample_satisfies(f, matrix.a, sample) or _sample_satisfies(f, matrix.b, sample)
+        return any(_sample_satisfies(f, sub, sample) for sub in matrix.args)
     raise TypeError(f"unexpected matrix node: {matrix!r}")
 
 
