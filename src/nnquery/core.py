@@ -12,6 +12,12 @@ besides relations and constants, contain weight function symbols: a weight
 symbol of arity k denotes a total map from k-tuples of domain elements to
 lifted rationals.  They are the data model networks get compiled into and the
 logic evaluator runs over.
+
+Both of the package's languages, the query logic (`query`) and FO+SUM
+(`fosum`), read their text through one token cursor, `Tokens`, which ends
+every text in an end-of-input token at ``len(text)``; `nesting_limit`
+bounds their recursive descent, and `connective` builds their n-ary
+``and``/``or`` nodes.
 """
 
 from __future__ import annotations
@@ -67,13 +73,73 @@ def rational(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def nesting_limit(limit: int, language: str):
-    """Decorator for the recursive methods of a descent parser with a
-    ``depth`` counter and a ``fail(message)`` method that raises.
+class Tokens:
+    """A token cursor for a recursive-descent parser; parsers subclass it.
 
-    Each call counts one level of nesting; past ``limit`` levels the parser
-    fails with its own error, so that deep input is rejected before it
-    exhausts the interpreter's stack.
+    ``pattern`` lexes ``text`` into ``(kind, text, position)`` tokens, one
+    named group per kind; a match of its ``bad`` group is an error.  The
+    tokens end in one ``eof`` token at ``len(text)``.  ``error(message,
+    position)`` builds the language's exception.  ``depth`` is the counter
+    that `nesting_limit` keeps.
+    """
+
+    def __init__(self, pattern, text: str, error):
+        self.error = error
+        self.tokens = []
+        for m in pattern.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise error(f"unexpected character {m.group(kind)!r}", m.start(kind))
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
+        self.tokens.append(("eof", "", len(text)))
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at(self, kind, *texts) -> bool:
+        """Whether the next token is of ``kind`` and, if ``texts`` are given,
+        reads one of them."""
+        tok_kind, tok_text, _ = self.tokens[self.pos]
+        return tok_kind == kind and (not texts or tok_text in texts)
+
+    def error_here(self, message):
+        """The language's error for ``message`` at the next token, naming it."""
+        _kind, text, at = self.tokens[self.pos]
+        return self.error(f"{message}, found {text or 'end of input'!r}", at)
+
+    def fail(self, message):
+        """Raise `error_here`; the nesting limit fails through here."""
+        raise self.error_here(message)
+
+    def expect(self, text: str):
+        """Take the next token, which must read ``text``."""
+        if self.tokens[self.pos][1] != text:
+            raise self.error_here(f"expected {text!r}")
+        self.pos += 1
+
+    def operands(self, kind, text, read):
+        """The operands, each read by ``read``, of a list joined by the token
+        ``text`` of ``kind``: an and/or/-> chain or a comma-separated list."""
+        parts = [read()]
+        while self.at(kind, text):
+            self.pos += 1
+            parts.append(read())
+        return parts
+
+
+def nesting_limit(limit: int, language: str):
+    """Decorator for the recursive methods of a `Tokens` parser.
+
+    Each call counts one level of nesting in ``depth``; past ``limit``
+    levels the parser's ``fail`` raises its own error, so that deep input
+    is rejected before it exhausts the interpreter's stack.
     """
 
     def decorate(parse):
@@ -96,10 +162,12 @@ def connective(kind, parts):
     part that is a ``kind`` node itself contributes its ``args`` in place.
     A single part is returned as it is, so every node has two or more args.
     """
+    if len(parts) == 1:
+        return parts[0]
     args = []
     for part in parts:
         args += part.args if type(part) is kind else (part,)
-    return args[0] if len(args) == 1 else kind(tuple(args))
+    return kind(tuple(args))
 
 
 def format_rational(q: Fraction) -> str:

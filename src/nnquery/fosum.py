@@ -19,7 +19,10 @@ undefinedness into 0.
 groups included), so every walk over a formula recurses by nesting depth
 only; `a implies b` is lowered at parse time to `(not a) or b`.
 
-Bound variables are renamed apart during parsing, to names no input can
+The parser is a ``core.Tokens`` cursor over FO+SUM's own tokens (``.5`` is
+a numeral, and ``.`` has no other use); a ParseError carries the position
+of the offending token, ``len(text)`` when the text ends too early.  Bound
+variables are renamed apart during parsing, to names no input can
 spell, so no variable is bound twice along any path of the returned AST
 and no binder captures a free variable.
 """
@@ -34,6 +37,7 @@ from fractions import Fraction
 from nnquery.core import (
     BOT,
     LiftedValue,
+    Tokens,
     Vocabulary,
     WeightedStructure,
     connective,
@@ -321,15 +325,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-    return tokens
-
-
 # How deeply formulas and terms may nest: quantifiers, 'implies', 'not',
 # open '(', '-', 'if' and 'sum', counted together and over the formula and
 # the term reading alike.  Each level costs the descent and the evaluator a
@@ -339,46 +334,19 @@ _MAX_NESTING = 100
 _nesting = nesting_limit(_MAX_NESTING, "input")
 
 
-class _Parser:
+class _Parser(Tokens):
     def __init__(self, text: str, vocab: Vocabulary):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(_TOKEN_RE, text, ParseError)
         self.vocab = vocab
         self.scopes: list[dict] = []
         self.binder_names: set = set()
-        self.depth = 0
         self.too_deep = None
-
-    # --- token utilities ---------------------------------------------------
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("eof", "", self.tokens[-1][2] + 1 if self.tokens else 0)
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
 
     def fail(self, message: str):
         # only the nesting limit fails through here; the reading that hit it
         # keeps the error, though a backtracking caller may catch it
-        self.too_deep = ParseError(message, self._peek()[2])
+        self.too_deep = self.error_here(message)
         raise self.too_deep
-
-    def _expect(self, value: str):
-        kind, val, at = self._next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", at)
-
-    def _at_op(self, *values) -> bool:
-        kind, val, _ = self._peek()
-        return kind == "op" and val in values
-
-    def _at_kw(self, *words) -> bool:
-        kind, val, _ = self._peek()
-        return kind == "ident" and val in words
 
     # --- scoping -----------------------------------------------------------
 
@@ -388,7 +356,11 @@ class _Parser:
                 return scope[name]
         return None
 
-    def _bind(self, name: str, at: int) -> str:
+    def _bind(self, expected: str) -> str:
+        """Take a variable name bound in the innermost scope; its fresh name."""
+        if not self.at("ident"):
+            raise self.error_here(expected)
+        _, name, at = self.take()
         if name in _KEYWORDS:
             raise ParseError(f"keyword {name!r} cannot be a variable", at)
         if not _VAR_RE.match(name):
@@ -409,50 +381,39 @@ class _Parser:
 
     @_nesting
     def parse_formula(self):
-        if self._at_kw("exists", "forall"):
-            _, word, _ = self._next()
-            kind, name, at = self._next()
-            if kind != "ident":
-                raise ParseError("expected a variable after quantifier", at)
+        if self.at("ident", "exists", "forall"):
+            word = self.take()[1]
             self.scopes.append({})
-            fresh = self._bind(name, at)
+            fresh = self._bind("expected a variable after quantifier")
             body = self.parse_formula()
             self.scopes.pop()
             return FExists(fresh, body) if word == "exists" else FForall(fresh, body)
-        left = connective(FOr, self._operands("or", self._parse_and))
-        if self._at_kw("implies"):  # lowered here: a implies b is (not a) or b
-            self._next()
+        left = connective(FOr, self.operands("ident", "or", self._parse_and))
+        if self.at("ident", "implies"):  # lowered here: a implies b is (not a) or b
+            self.take()
             return connective(FOr, (FNot(left), self.parse_formula()))
         return left
 
-    def _operands(self, word, read):
-        """The operands, each read by ``read``, of a chain joined by ``word``."""
-        parts = [read()]
-        while self._at_kw(word):
-            self._next()
-            parts.append(read())
-        return parts
-
     def _parse_and(self):
-        return connective(FAnd, self._operands("and", self._parse_atomf))
+        return connective(FAnd, self.operands("ident", "and", self._parse_atomf))
 
     @_nesting
     def _parse_atomf(self):
-        if self._at_kw("not"):
-            self._next()
+        if self.at("ident", "not"):
+            self.take()
             return FNot(self._parse_atomf())
-        if self._at_kw("exists", "forall"):
+        if self.at("ident", "exists", "forall"):
             return self.parse_formula()
-        if self._at_op("("):
+        if self.at("op", "("):
             # Could be a parenthesized formula or a parenthesized weight term
             # beginning a comparison; try the formula reading first.
             save, depth = self.pos, len(self.scopes)
             try:
-                self._next()
+                self.take()
                 inner = self.parse_formula()
-                self._expect(")")
-                if self._at_op("=", "<", ">", "+", "-", "*", "/"):
-                    raise ParseError("parenthesized formula used as a term", self._peek()[2])
+                self.expect(")")
+                if self.at("op", "=", "<", ">", "+", "-", "*", "/"):
+                    raise self.error_here("parenthesized formula used as a term")
                 return inner
             except ParseError:
                 self.pos = save
@@ -460,13 +421,12 @@ class _Parser:
         return self._parse_comparison()
 
     def _parse_comparison(self):
-        at = self._peek()[2]
         left = self._parse_expr()
         if isinstance(left, Formula):
             return left
-        if not self._at_op("=", "<", ">"):
-            raise ParseError("expected a comparison operator", self._peek()[2])
-        _, op, opat = self._next()
+        if not self.at("op", "=", "<", ">"):
+            raise self.error_here("expected a comparison operator")
+        _, op, opat = self.take()
         right = self._parse_expr()
         if isinstance(right, Formula):
             raise ParseError("formula on the right of a comparison", opat)
@@ -499,84 +459,71 @@ class _Parser:
         return _to_rf(operand)
 
     def _parse_addsub(self):
-        at = self._peek()[2]
+        at = self.peek()[2]
         left = self._parse_muldiv()
-        if not self._at_op("+", "-"):
+        if not self.at("op", "+", "-"):
             return left
         acc = self._as_rf(left, at)
-        while self._at_op("+", "-"):
-            _, op, opat = self._next()
+        while self.at("op", "+", "-"):
+            _, op, opat = self.take()
             right = self._as_rf(self._parse_muldiv(), opat)
             acc = acc.add(right if op == "+" else right.neg())
         return acc.to_term()
 
     def _parse_muldiv(self):
-        at = self._peek()[2]
+        at = self.peek()[2]
         left = self._parse_unary()
-        if not self._at_op("*", "/"):
+        if not self.at("op", "*", "/"):
             return left
         acc = self._as_rf(left, at)
-        while self._at_op("*", "/"):
-            _, op, opat = self._next()
+        while self.at("op", "*", "/"):
+            _, op, opat = self.take()
             right = self._as_rf(self._parse_unary(), opat)
             acc = acc.mul(right) if op == "*" else acc.div(right)
         return acc.to_term()
 
     @_nesting
     def _parse_unary(self):
-        if self._at_op("-"):
-            _, _, at = self._next()
+        if self.at("op", "-"):
+            at = self.take()[2]
             return self._as_rf(self._parse_unary(), at).neg().to_term()
         return self._parse_primary()
 
     def _parse_primary(self):
-        kind, val, at = self._peek()
+        kind, val, at = self.peek()
+        if kind not in ("num", "ident") and val != "(":
+            raise self.error_here("expected a term")
+        self.take()
         if kind == "num":
-            self._next()
             return _RF.const(Fraction(val)).to_term()
-        if kind == "op" and val == "(":
-            self._next()
+        if val == "(":
             inner = self._parse_expr()
-            self._expect(")")
+            self.expect(")")
             return inner
-        if kind != "ident":
-            raise ParseError(f"unexpected token {val!r}", at)
-
         if val == "bot":
-            self._next()
             return TBottom()
         if val == "if":
-            self._next()
             cond = self.parse_formula()
-            self._expect("then")
+            self.expect("then")
             then = self._term_operand()
-            self._expect("else")
+            self.expect("else")
             other = self._term_operand()
             return TIf(cond, then, other)
         if val == "sum":
-            self._next()
-            self._expect("{")
+            self.expect("{")
             self.scopes.append({})
-            variables = []
-            while True:
-                k, name, vat = self._next()
-                if k != "ident":
-                    raise ParseError("expected a summation variable", vat)
-                variables.append(self._bind(name, vat))
-                if self._at_op(","):
-                    self._next()
-                    continue
-                break
-            self._expect(":")
+            variables = self.operands(
+                "op", ",", lambda: self._bind("expected a summation variable")
+            )
+            self.expect(":")
             guard = self.parse_formula()
-            self._expect("}")
+            self.expect("}")
             body = self._term_operand(tight=True)
             self.scopes.pop()
             return TSum(tuple(variables), guard, body)
         if val in _KEYWORDS:
             raise ParseError(f"unexpected keyword {val!r}", at)
 
-        self._next()
         bound = self._lookup_var(val)
         if bound is not None:
             return SVar(bound)
@@ -593,26 +540,21 @@ class _Parser:
         return SVar(val)
 
     def _parse_std_args(self, symbol: str, arity: int, at: int) -> tuple:
-        if not self._at_op("("):
+        if not self.at("op", "("):
             if arity == 0:
                 return ()
             raise ParseError(f"symbol {symbol!r} expects {arity} arguments", at)
-        self._expect("(")
-        args = []
-        if not self._at_op(")"):
-            while True:
-                argat = self._peek()[2]
-                arg = self._parse_expr()
-                if not isinstance(arg, (SVar, SConst)):
-                    raise ParseError(
-                        f"argument of {symbol!r} must be a variable or constant", argat
-                    )
-                args.append(arg)
-                if self._at_op(","):
-                    self._next()
-                    continue
-                break
-        self._expect(")")
+        self.take()
+
+        def argument():
+            argat = self.peek()[2]
+            arg = self._parse_expr()
+            if not isinstance(arg, (SVar, SConst)):
+                raise ParseError(f"argument of {symbol!r} must be a variable or constant", argat)
+            return arg
+
+        args = () if self.at("op", ")") else self.operands("op", ",", argument)
+        self.expect(")")
         if len(args) != arity:
             raise ParseError(
                 f"symbol {symbol!r} expects {arity} arguments, got {len(args)}", at
@@ -620,7 +562,7 @@ class _Parser:
         return tuple(args)
 
     def _term_operand(self, tight: bool = False):
-        at = self._peek()[2]
+        at = self.peek()[2]
         operand = self._parse_muldiv() if tight else self._parse_expr()
         if isinstance(operand, (SVar, SConst)):
             raise ParseError("expected a weight term, found an element term", at)
@@ -641,8 +583,8 @@ def parse_fosum(text: str, vocab: Vocabulary):
         p.pos, p.scopes, p.too_deep = 0, [], None
         try:
             parsed = read()
-            if p.pos != len(p.tokens):
-                raise ParseError(f"trailing input after {what}", p._peek()[2])
+            if not p.at("eof"):
+                raise p.error_here(f"trailing input after {what}")
             return parsed
         except ParseError as err:
             errors.append((p.too_deep is not None, p.too_deep or err))

@@ -3,8 +3,11 @@
 The query language is first-order logic over the reals with rational
 linear arithmetic, comparisons, boolean connectives, quantifiers, and a
 function symbol ``F`` denoting the network's input→output map.  The parser
-reads every term as one linear form (``XLin``) over variables and nodes,
-a node being ``abs``, ``min``, ``max`` or ``F`` of linear forms.  A chain
+is a ``core.Tokens`` cursor over the query's own tokens (a numeral has
+digits before any ``.``, since ``exists x . …`` uses ``.`` on its own), and a
+syntax error names its position, ``len(text)`` at the end.  It reads every
+term as one linear form (``XLin``) over variables and nodes, a node
+being ``abs``, ``min``, ``max`` or ``F`` of linear forms.  A chain
 of ``and`` or of ``or`` is one n-ary node (``connective``), and
 ``a -> b -> c`` is lowered to ``not a or not b or c``, so every walk over
 a formula recurses by nesting depth only.  Arithmetic folds as it parses,
@@ -37,7 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import connective, nesting_limit, rational
+from .core import Tokens, connective, nesting_limit, rational
 from .geometry import Arrangement, build_cd, make_arrangement, plane_sign
 from .network import Network
 from .pwl import PwlFunction, graph_sign, lift_graph, pwl_from_network
@@ -226,24 +229,8 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise QueryError(f"unexpected character {m.group('bad')!r} at {m.start('bad')}")
-        if m.group("num"):
-            out.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident"):
-            out.append(("ident", m.group("ident"), m.start("ident")))
-        elif m.group("op"):
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
+def _syntax_error(message: str, at: int) -> QueryError:
+    return QueryError(f"{message} at position {at}")
 
 
 # How deeply formulas and expressions may nest: open '(', argument lists,
@@ -254,75 +241,47 @@ _MAX_NESTING = 105
 _nesting = nesting_limit(_MAX_NESTING, "query")
 
 
-class _QueryParser:
+class _QueryParser(Tokens):
     def __init__(self, text: str, m: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(_TOKEN, text, _syntax_error)
         self.m = m
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, at = self.take()
-        if kind != "op" or val != op:
-            raise QueryError(f"expected {op!r} at position {at}, found {val or 'end of input'!r}")
-
-    def fail(self, message):
-        _kind, val, at = self.peek()
-        raise QueryError(f"{message} at position {at} (near {val or 'end of input'!r})")
 
     # formulas --------------------------------------------------------------
 
-    def operands(self, token, read):
-        """The operands, each read by ``read``, of a chain joined by token."""
-        parts = [read()]
-        while self.peek()[:2] == token:
-            self.take()
-            parts.append(read())
-        return parts
-
     def parse_formula(self):
         # '->' associates to the right: a -> (b -> c) is not a or not b or c
-        parts = self.operands(("op", "->"), self.parse_or)
+        parts = self.operands("op", "->", self.parse_or)
         return connective(POr, [*map(PNot, parts[:-1]), parts[-1]])
 
     def parse_or(self):
-        return connective(POr, self.operands(("ident", "or"), self.parse_and))
+        return connective(POr, self.operands("ident", "or", self.parse_and))
 
     def parse_and(self):
-        return connective(PAnd, self.operands(("ident", "and"), self.parse_unary))
+        return connective(PAnd, self.operands("ident", "and", self.parse_unary))
 
     @_nesting
     def parse_unary(self):
-        kind, val, _ = self.peek()
-        if kind == "ident" and val == "not":
+        if self.at("ident", "not"):
             self.take()
             return PNot(self.parse_unary())
-        if kind == "ident" and val in ("exists", "forall"):
-            self.take()
-            vkind, vname, vat = self.take()
-            if vkind != "ident" or vname in _KEYWORDS:
-                raise QueryError(f"expected a variable name after {val} at position {vat}")
-            if vname.startswith("__"):
+        if self.at("ident", "exists", "forall"):
+            quantifier = self.take()[1]
+            if not self.at("ident") or self.peek()[1] in _KEYWORDS:
+                self.fail(f"expected a variable name after {quantifier}")
+            name = self.take()[1]
+            if name.startswith("__"):
                 raise QueryError("variable names starting with '__' are reserved")
-            if self.peek()[:2] == ("op", "."):
+            if self.at("op", "."):
                 self.take()
             body = self.parse_formula()  # quantifier scope extends maximally
-            return (PExists if val == "exists" else PForall)(vname, body)
-        if kind == "op" and val == "(":
+            return (PExists if quantifier == "exists" else PForall)(name, body)
+        if self.at("op", "("):
             # try a parenthesized formula; fall back to a comparison
             save = self.pos
             self.take()
             try:
                 inner = self.parse_formula()
-                self.expect_op(")")
+                self.expect(")")
                 return inner
             except QueryError:
                 self.pos = save
@@ -330,39 +289,30 @@ class _QueryParser:
 
     def parse_comparison(self):
         lhs = self.parse_expr()
-        kind, val, _ = self.peek()
-        if kind == "op" and val in ("<", "<=", "=", ">=", ">"):
-            self.take()
-            rhs = self.parse_expr()
-            return PCmp(val, lhs, rhs)
-        self.fail("expected a comparison operator")
+        if not self.at("op", "<", "<=", "=", ">=", ">"):
+            self.fail("expected a comparison operator")
+        return PCmp(self.take()[1], lhs, self.parse_expr())
 
     # expressions -----------------------------------------------------------
 
     def parse_expr(self):
         left = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.take()
-                left = _combine(left, self.parse_term(), 1 if val == "+" else -1)
-            else:
-                return left
+        while self.at("op", "+", "-"):
+            sign = 1 if self.take()[1] == "+" else -1
+            left = _combine(left, self.parse_term(), sign)
+        return left
 
     def parse_term(self):
         left = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.take()
-                right = self.parse_factor()
-                left = _e_mul(left, right) if val == "*" else _e_div(left, right)
-            else:
-                return left
+        while self.at("op", "*", "/"):
+            op = self.take()[1]
+            right = self.parse_factor()
+            left = _e_mul(left, right) if op == "*" else _e_div(left, right)
+        return left
 
     def parse_factor(self):
         negations = 0
-        while self.peek()[:2] == ("op", "-"):
+        while self.at("op", "-"):
             self.take()
             negations += 1
         e = self.parse_primary()
@@ -370,76 +320,67 @@ class _QueryParser:
             e = _combine(_ZERO, e, -1)
         return e
 
-    def _parse_args(self):
-        args = [self.parse_expr()]
-        while self.peek()[:2] == ("op", ","):
-            self.take()
-            args.append(self.parse_expr())
-        return args
-
     @_nesting
     def parse_primary(self):
-        kind, val, at = self.take()
+        kind, val, at = self.peek()
+        if kind not in ("num", "ident") and val != "(":
+            self.fail("expected an expression")
+        self.take()
         if kind == "num":
             return XLin(rational(val))
-        if kind == "op" and val == "(":
+        if val == "(":
             e = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        if kind == "ident":
-            if val == "F":
-                self.expect_op("(")
-                args = self._parse_args()
-                self.expect_op(")")
-                if len(args) != self.m:
-                    raise QueryError(
-                        f"F takes {self.m} argument(s), got {len(args)} at position {at}"
-                    )
-                return _node_form(XF(tuple(args)))
-            if val == "abs":
-                self.expect_op("(")
-                e = self.parse_expr()
-                self.expect_op(")")
-                return _e_abs(e)
-            if val in ("min", "max"):
-                self.expect_op("(")
-                a = self.parse_expr()
-                self.expect_op(",")
-                b = self.parse_expr()
-                self.expect_op(")")
-                return _e_min_max(XMin if val == "min" else XMax, a, b)
-            if val in ("dist_linf", "dist_l1"):
-                self.expect_op("(")
-                left = self._parse_args()
-                self.expect_op(";")
-                right = self._parse_args()
-                self.expect_op(")")
-                if len(left) != len(right) or not left:
-                    raise QueryError(f"{val} needs two equal-length coordinate lists")
-                diffs = [_e_abs(_combine(a, b, -1)) for a, b in zip(left, right)]
-                if val == "dist_l1":
-                    out = diffs[0]
-                    for e in diffs[1:]:
-                        out = _combine(out, e, 1)
-                    return out
+        if val == "F":
+            self.expect("(")
+            args = self.operands("op", ",", self.parse_expr)
+            self.expect(")")
+            if len(args) != self.m:
+                raise self.error(f"F takes {self.m} argument(s), got {len(args)}", at)
+            return _node_form(XF(tuple(args)))
+        if val == "abs":
+            self.expect("(")
+            e = self.parse_expr()
+            self.expect(")")
+            return _e_abs(e)
+        if val in ("min", "max"):
+            self.expect("(")
+            a = self.parse_expr()
+            self.expect(",")
+            b = self.parse_expr()
+            self.expect(")")
+            return _e_min_max(XMin if val == "min" else XMax, a, b)
+        if val in ("dist_linf", "dist_l1"):
+            self.expect("(")
+            left = self.operands("op", ",", self.parse_expr)
+            self.expect(";")
+            right = self.operands("op", ",", self.parse_expr)
+            self.expect(")")
+            if len(left) != len(right) or not left:
+                raise QueryError(f"{val} needs two equal-length coordinate lists")
+            diffs = [_e_abs(_combine(a, b, -1)) for a, b in zip(left, right)]
+            if val == "dist_l1":
                 out = diffs[0]
                 for e in diffs[1:]:
-                    out = _e_min_max(XMax, out, e)
+                    out = _combine(out, e, 1)
                 return out
-            if val in _KEYWORDS:
-                raise QueryError(f"keyword {val!r} cannot be used here (position {at})")
-            if val.startswith("__"):
-                raise QueryError("variable names starting with '__' are reserved")
-            return xlin_var(val)
-        found = val or "end of input"
-        raise QueryError(f"expected an expression at position {at}, found {found!r}")
+            out = diffs[0]
+            for e in diffs[1:]:
+                out = _e_min_max(XMax, out, e)
+            return out
+        if val in _KEYWORDS:
+            raise self.error(f"keyword {val!r} cannot be used here", at)
+        if val.startswith("__"):
+            raise QueryError("variable names starting with '__' are reserved")
+        return xlin_var(val)
 
 
 def parse_query(text: str, m: int):
     """Parse a query; ``m`` is the network input count (checked against F)."""
     parser = _QueryParser(text, m)
     ast = parser.parse_formula()
-    if parser.peek()[0] != "eof":
+    if not parser.at("eof"):
         parser.fail("unexpected trailing input")
     return ast
 

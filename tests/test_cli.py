@@ -361,6 +361,12 @@ class TestExitCodes:
         assert "nests deeper" in r.stderr
         assert "Traceback" not in r.output
 
+    def test_fosum_error_at_end_of_text_exits_3(self, models):
+        r = invoke(["fosum", "--model", models["two_in"], "--term-str", "b(in1) < 1 and"])
+        assert r.exit_code == 3, r.output
+        assert "found 'end of input' (at position 14)" in r.stderr
+        assert "Traceback" not in r.output
+
     def test_deeply_nested_fosum_term_exits_3(self, models):
         text = "(" * 300 + "1" + ")" * 300
         r = invoke(["fosum", "--model", models["two_in"], "--term-str", text])

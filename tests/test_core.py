@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from nnquery.core import (
     rational,
 )
 from nnquery.fosum import eval_weight_term, parse_fosum
+from nnquery.network import graph_vocabulary
+from nnquery.query import parse_query
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 
@@ -94,3 +97,29 @@ def test_bottom_absorption_property(x):
     for op in "+-*/":
         assert ev(f"a {op} u", a=x) is BOT
         assert ev(f"u {op} a", a=x) is BOT
+
+
+# Both languages read through one token cursor: a syntax error is at the
+# offending character, or at len(text) when the text ends too early.
+PARSE = {
+    "query": lambda text: parse_query(text, 1),
+    "fosum": lambda text: parse_fosum(text, graph_vocabulary(1)),
+}
+
+
+@pytest.mark.parametrize(
+    "language, text, position",
+    [
+        ("query", "x > {1}", 4),  # '{' is no query token
+        ("query", "exists x . F(x) >", 17),
+        ("query", "max(x, 1 < 2", 9),
+        ("fosum", "b(in1) ; 1", 7),  # nor ';' an FO+SUM one
+        ("fosum", "b(in1) < 1 and", 14),
+        ("fosum", "b(in1 < 1", 6),
+    ],
+)
+def test_syntax_error_positions_in_both_languages(language, text, position):
+    with pytest.raises(ValueError) as err:
+        PARSE[language](text)
+    assert re.search(rf"\bposition {position}\b", str(err.value)), str(err.value)
+    assert ("end of input" in str(err.value)) == (position == len(text))

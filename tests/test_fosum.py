@@ -211,6 +211,11 @@ def test_parse_errors():
         parse_fosum("if P(in1) then 1", VOCAB)  # missing else
     with pytest.raises(ParseError):
         parse_fosum("w(b(x), y)", VOCAB)  # weight-term argument to a weight symbol
+    # an error at the end of the text is at len(text), blanks included
+    for text in ("exists", "b(in1) < 1 and", "b(in1) <   ", "sum{x : E(x, out1)} "):
+        with pytest.raises(ParseError, match="found 'end of input'") as err:
+            parse_fosum(text, VOCAB)
+        assert err.value.pos == len(text)
 
 
 # Input nested n levels deep, one kind of nesting each.
