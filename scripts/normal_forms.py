@@ -3,7 +3,8 @@
 Draws closed sentences of three kinds in turn: the test oracles' random
 ordered sentences (linear atoms and F(x⃗) = y atoms under a random boolean
 tree); sugared ones, with abs, min, max, dist_linf, dist_l1 and F around
-linear terms, summed with small coefficients, a lone piece sometimes
+linear terms, and in sentences without F the nested pieces abs(max(…)),
+min(abs(…), …) and abs(dist_*(…) − …), summed with small coefficients, a lone piece sometimes
 repeated and an F piece sometimes scaled by 0; and chains, 5-12 linear
 atoms (one sometimes comparing F) joined by and, or and ->, with runs of
 them grouped in parentheses and joined the same way, so that a group
@@ -51,18 +52,33 @@ def _f_args(rng, xs, m):
     return ", ".join(rng.sample(xs, m))
 
 
-def _piece(rng, xs, m):
-    """One sugared or F term over linear arguments; the second value says
-    whether it applies F."""
-    kind = rng.choice(("abs", "min", "max", "dist_linf", "dist_l1", "F", "abs F", "max F"))
+def _dist(rng, xs, kind):
+    us = rng.sample(xs, rng.randint(1, min(2, len(xs))))
+    ps = [str(Fraction(rng.randint(-4, 4), 2)) for _ in us]
+    return f"{kind}({', '.join(us)}; {', '.join(ps)})"
+
+
+_PIECES = ("abs", "min", "max", "dist_linf", "dist_l1", "F", "abs F", "max F")
+_NESTED = ("abs max", "min abs", "abs dist")
+
+
+def _piece(rng, xs, m, kinds):
+    """One sugared or F term of one of the kinds, over linear arguments; the
+    second value says whether it applies F."""
+    kind = rng.choice(kinds)
     if kind == "abs":
         return f"abs({_linear(rng, xs)})", False
     if kind in ("min", "max"):
         return f"{kind}({_linear(rng, xs)}, {_linear(rng, xs)})", False
+    if kind == "abs max":
+        return f"abs(max({_linear(rng, xs)}, {_linear(rng, xs)}))", False
+    if kind == "min abs":
+        return f"min(abs({_linear(rng, xs)}), {_linear(rng, xs)})", False
+    if kind == "abs dist":
+        dist = _dist(rng, xs, rng.choice(("dist_linf", "dist_l1")))
+        return f"abs({dist} - {_linear(rng, xs)})", False
     if kind.startswith("dist"):
-        us = rng.sample(xs, rng.randint(1, min(2, len(xs))))
-        ps = [str(Fraction(rng.randint(-4, 4), 2)) for _ in us]
-        return f"{kind}({', '.join(us)}; {', '.join(ps)})", False
+        return _dist(rng, xs, kind), False
     f = f"F({_f_args(rng, xs, m)})"
     if kind == "F":
         return f, True
@@ -71,13 +87,13 @@ def _piece(rng, xs, m):
     return f"max({f}, {_linear(rng, xs)})", True
 
 
-def _sugared_atom(rng, xs, m, with_f):
+def _sugared_atom(rng, xs, m, with_f, kinds):
     pieces = []
     count = rng.randint(1, 2)
     for _ in range(count):
-        text, has_f = _piece(rng, xs, m)
+        text, has_f = _piece(rng, xs, m, kinds)
         while has_f and not with_f:
-            text, has_f = _piece(rng, xs, m)
+            text, has_f = _piece(rng, xs, m, kinds)
         with_f = with_f and not has_f  # at most one F piece per atom
         coeff = "0" if has_f and rng.random() < 0.15 else rng.choice(("1", "2", "-1", "1/2"))
         pieces.append(f"{coeff} * {text}")
@@ -90,11 +106,14 @@ def _sugared_atom(rng, xs, m, with_f):
 def sugared_sentence(rng, d, m):
     """A closed sentence over x1..xd whose atoms compare sugared terms with
     linear ones; F appears in at most one atom, to keep the variable count
-    small."""
+    small, and the nested pieces only where no atom may apply F, so that
+    their decompositions stay in R^2."""
     xs = [f"x{i}" for i in range(1, d + 1)]
     prefix = "".join(f"{rng.choice(('exists', 'forall'))} {x} . " for x in xs)
-    f_atom = rng.randrange(2) if d >= m else None
-    atoms = [_sugared_atom(rng, xs, m, i == f_atom) for i in range(rng.randint(1, 2))]
+    count = rng.randint(1, 2)
+    f_atom = rng.randrange(3) if d >= m else None
+    kinds = _PIECES if f_atom is not None and f_atom < count else _PIECES + _NESTED
+    atoms = [_sugared_atom(rng, xs, m, i == f_atom, kinds) for i in range(count)]
     matrix = f" {rng.choice(('and', 'or'))} ".join(atoms)
     if rng.random() < 0.3:
         matrix = f"not ({matrix})"

@@ -37,6 +37,7 @@ from .pwl import (
     pwl_eval,
     pwl_from_network,
     pwl_restrict,
+    value_gap,
 )
 from .query import (
     build_query_arrangement,
@@ -256,20 +257,20 @@ def _integrate_cells(f: PwlFunction, box: Box) -> Fraction:
     """General pipeline: decompose the region between graph and zero.
 
     The arrangement in R^{m+1} holds F's graph over the value axis z
-    (``lift_graph``), the box's facet hyperplanes, and the hyperplane
-    z = 0.  Towers over base cells outside the open box are pruned during
-    construction — the facet hyperplanes are part of the arrangement, so
-    each cell lies strictly inside or strictly outside and the sample point
-    decides exactly.  A surviving full-dimensional cell (all-sector chain)
-    adds its triangulated volume times s = ±1 exactly when its side of the
-    graph (``graph_sign``) and the sign of z on it are both s: it lies
-    between zero and a positive graph (s = 1) or a negative graph and zero
-    (s = −1).
+    (``lift_graph`` of ``value_gap(f)``), the box's facet hyperplanes, and
+    the hyperplane z = 0.  Towers over base cells outside the open box are
+    pruned during construction — the facet hyperplanes are part of the
+    arrangement, so each cell lies strictly inside or strictly outside and
+    the sample point decides exactly.  A surviving full-dimensional cell
+    (all-sector chain) adds its triangulated volume times s = ±1 exactly
+    when its side of the graph (``graph_sign``) and the sign of z on it are
+    both s: it lies between zero and a positive graph (s = 1) or a negative
+    graph and zero (s = −1).
     """
     m = f.m
     d = m + 1
-    args = tuple(range(1, d))
-    planes = lift_graph(f, args, d, d)
+    gap_fn, args = value_gap(f), tuple(range(1, d + 1))
+    planes = lift_graph(gap_fn, args, d)
     for i, (lo, hi) in enumerate(box.intervals, start=1):
         for end in (lo, hi):
             facet = [Fraction(0)] * (d + 1)
@@ -286,7 +287,7 @@ def _integrate_cells(f: PwlFunction, box: Box) -> Fraction:
         return True
 
     cd = build_cd(arr, restrict=inside)
-    gap = graph_sign(cd, f, args, d)
+    gap = graph_sign(cd, gap_fn, args)
     height = plane_sign(cd, zero_axis)
 
     total = Fraction(0)

@@ -52,7 +52,7 @@ from .network import (
     to_structure,
     useless_neurons,
 )
-from .pwl import lift_graph, pwl_from_network, pwl_to_json
+from .pwl import lift_graph, pwl_from_network, pwl_to_json, value_gap
 from .query import evaluate_query
 
 
@@ -382,7 +382,7 @@ def cd_stats_cmd(net):
     network function's graph query F(x1,…,xm) = z."""
     f = pwl_from_network(net)
     d = f.m + 1
-    return cd_stats(build_cd(make_arrangement(d, lift_graph(f, range(1, d), d, d))))
+    return cd_stats(build_cd(make_arrangement(d, lift_graph(value_gap(f), range(1, d + 1), d))))
 
 
 @main.command("gen-sawtooth")

@@ -404,21 +404,26 @@ class _Parser(Tokens):
             return FNot(self._parse_atomf())
         if self.at("ident", "exists", "forall"):
             return self.parse_formula()
-        if self.at("op", "("):
-            # Could be a parenthesized formula or a parenthesized weight term
-            # beginning a comparison; try the formula reading first.
-            save, depth = self.pos, len(self.scopes)
-            try:
-                self.take()
-                inner = self.parse_formula()
-                self.expect(")")
-                if self.at("op", "=", "<", ">", "+", "-", "*", "/"):
-                    raise self.error_here("parenthesized formula used as a term")
-                return inner
-            except ParseError:
-                self.pos = save
-                del self.scopes[depth:]
-        return self._parse_comparison()
+        if not self.at("op", "("):
+            return self._parse_comparison()
+        # Could be a parenthesized formula or a parenthesized weight term
+        # beginning a comparison; try the formula reading first.  Where both
+        # fail, the one that got further explains it (the formula on a tie).
+        save, depth = self.pos, len(self.scopes)
+        try:
+            self.take()
+            inner = self.parse_formula()
+            self.expect(")")
+            if self.at("op", "=", "<", ">", "+", "-", "*", "/"):
+                raise self.error_here("parenthesized formula used as a term")
+            return inner
+        except ParseError as err:
+            self.pos, formula_error = save, err
+            del self.scopes[depth:]
+        try:
+            return self._parse_comparison()
+        except ParseError as err:
+            raise max(formula_error, err, key=lambda e: e.pos) from None
 
     def _parse_comparison(self):
         left = self._parse_expr()

@@ -29,9 +29,12 @@ lives with the test oracles, where feasibility goes through Fourier–Motzkin
 elimination instead, so construction and verification follow independent
 routes.
 
-Queries, integration and the decomposition statistics place F in R^d
-through ``lift_graph`` and read each cell's side of F's graph back through
-``graph_sign``; no other module turns F into planes.
+Queries, integration and the decomposition statistics place a PWL function
+of some of the coordinates of R^d through ``lift_graph`` (its breakplanes
+and the zero-sets of its non-constant components) and read its sign on each
+cell back through ``graph_sign``; no other module turns a function into
+planes.  F enters as ``value_gap(F)``, the function F(x) − y whose zero-set
+is its graph, and a query comparison as its function lhs − rhs.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "sign_position",
     "cell_position",
     "pwl_restrict",
+    "value_gap",
     "lift_graph",
     "graph_sign",
     "pwl_to_json",
@@ -396,55 +400,62 @@ def pwl_restrict(f: PwlFunction, fixed) -> PwlFunction:
 
 
 # ---------------------------------------------------------------------------
-# Placing F in a decomposition and reading it back
+# Placing a function in a decomposition and reading it back
 # ---------------------------------------------------------------------------
 
 
-def lift_graph(f: PwlFunction, args, result: int, d: int) -> list:
-    """F's planes in R^d for F(x_args) = x_result.
-
-    ``args`` are the 1-based indices of F's arguments, in F's argument
-    order, and ``result`` is a further index.  Returns the breakplanes
-    placed at the arguments, then one graph plane per distinct component,
-    in first-appearance order: a_0 + Σ a_i·x_{args_i} − x_result.
-    """
-
-    def at_args(coeffs):
-        vec = [coeffs[0]] + [Fraction(0)] * d
-        for g, a in zip(args, coeffs[1:], strict=True):
-            vec[g] = a
-        return vec
-
-    planes = [tuple(at_args(h)) for h in f.breakplanes]
-    for comp in dict.fromkeys(comp for _pos, comp in f.polytopes):
-        vec = at_args(comp)
-        vec[result] = Fraction(-1)
-        planes.append(tuple(vec))
-    return planes
+def value_gap(f: PwlFunction) -> PwlFunction:
+    """The function F(x) − y of (x, y) ∈ R^{m+1}, whose zero-set is F's graph."""
+    polys = tuple((pos, (*comp, Fraction(-1))) for pos, comp in f.polytopes)
+    return PwlFunction(f.m + 1, tuple((*h, 0) for h in f.breakplanes), polys)
 
 
-def graph_sign(cd, f: PwlFunction, args, result: int):
-    """F's side of each full-level cell of a decomposition built over
-    ``lift_graph(f, args, result, cd.d)``.
+def _placed(coeffs, args, d: int) -> tuple:
+    """The affine form a_0 + Σ a_i·x_{args_i} over R^d."""
+    vec = [coeffs[0]] + [0] * d
+    for g, a in zip(args, coeffs[1:], strict=True):
+        vec[g] = a
+    return tuple(vec)
+
+
+def lift_graph(fn: PwlFunction, args, d: int) -> list:
+    """The planes in R^d that make ``fn``, read at the coordinates ``args``
+    (1-based, in fn's argument order), sign-invariant on every cell: its
+    breakplanes, then the zero-set of each distinct non-constant component
+    in first-appearance order, all placed at the arguments."""
+    comps = dict.fromkeys(comp for _pos, comp in fn.polytopes if any(comp[1:]))
+    return [_placed(h, args, d) for h in (*fn.breakplanes, *comps)]
+
+
+def graph_sign(cd, fn: PwlFunction, args):
+    """fn's sign on each full-level cell of a decomposition built over
+    ``lift_graph(fn, args, cd.d)``.
 
     Returns a function from a cell id to −1, 0 or 1: the sign, on that
-    cell, of the component at the cell's position minus x_result.  Both
-    the position and the sign are read from the stacks.
+    cell, of the component at the cell's position.  Both the position and
+    the sign are read from the stacks; a constant component has one sign.
     """
-    planes = lift_graph(f, args, result, cd.d)
-    k = len(f.breakplanes)
-    signs = [plane_sign(cd, h) for h in planes[:k]]
-    comps = dict.fromkeys(comp for _pos, comp in f.polytopes)
-    on_graph = {comp: plane_sign(cd, g) for comp, g in zip(comps, planes[k:])}
-    by_position = {pos: on_graph[comp] for pos, comp in f.by_position.items()}
-    if not k and "" in by_position:  # one component: no position to read
+    signs = [plane_sign(cd, _placed(h, args, cd.d)) for h in fn.breakplanes]
+    comps = {}
+    for c in dict.fromkeys(comp for _pos, comp in fn.polytopes):
+        s = (c[0] > 0) - (c[0] < 0)
+        comps[c] = plane_sign(cd, _placed(c, args, cd.d)) if any(c[1:]) else lambda _id, s=s: s
+    by_position = {pos: comps[comp] for pos, comp in fn.by_position.items()}
+    if not signs and "" in by_position:  # one component: no position to read
         return by_position[""]
 
+    t = max(g for h in fn.breakplanes for g, a in zip(args, h[1:]) if a)
+    seen = {}  # the breakplanes read x_1..x_t: one position per level-t cell
+
     def sign(cid):
-        pos = cell_position(signs, cid)
-        on = by_position.get(pos)
+        on = seen.get(cid[:t])
         if on is None:
-            raise ValueError(f"function is not proper: no polytope at position {pos!r}")
+            pos = cell_position(signs, cid)
+            on = by_position.get(pos)
+            if on is None:
+                raise ValueError(f"function is not proper: no polytope at position {pos!r}")
+            if t < cd.d:
+                seen[cid[:t]] = on
         return on(cid)
 
     return sign

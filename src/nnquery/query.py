@@ -11,23 +11,22 @@ being ``abs``, ``min``, ``max`` or ``F`` of linear forms.  A chain
 of ``and`` or of ``or`` is one n-ary node (``connective``), and
 ``a -> b -> c`` is lowered to ``not a or not b or c``, so every walk over
 a formula recurses by nesting depth only.  Arithmetic folds as it parses,
-so a product of two non-constant forms is rejected there.  One normalizer
-pass over the atoms case-splits the ``abs``/``min``/``max`` nodes (and so
-the distance helpers) and makes ``F(x⃗) = y`` an f-atom; the remaining F
-nodes are then pulled into f-atoms.  Every rewrite of a term (renaming,
-case-splitting, F extraction) maps it through ``_map_terms``.
+so a product of two non-constant forms is rejected there.  The normalizer
+makes ``F(x⃗) = y`` an f-atom and pulls the remaining F nodes into f-atoms;
+every rewrite of a term (renaming, F extraction) maps it through
+``_map_terms``.
 
 Evaluation is exact and geometric.  A query is normalized into an *ordered
 prenex* form — free variables first, then the quantified variables in
 prefix order, every f-atom of the shape F(x_{g1},…,x_{gm}) = x_j over
-pairwise-distinct variables in any index order, every other atom a strict
-linear constraint.  The network's piecewise-linear map contributes planes
-only where the matrix applies F: for each distinct f-atom, ``pwl`` places
-F's breakplanes at its arguments and F's component graphs at its arguments
-and result, and the constraint planes join in.  On the resulting cell
-decomposition every cell is homogeneous for every atom, so the matrix,
-reading each atom's sign from the stacks (an f-atom's through ``pwl``),
-selects a set of full-level cells; quantifiers are then
+pairwise-distinct variables in any index order, every other atom one
+comparison ``MPwl``: lhs − rhs as a PWL function of the variables it names,
+its abs/min/max nodes (and so the distance helpers) pieces of that
+function, and the signs that make it true.  ``pwl.lift_graph`` places every
+atom's planes and ``pwl.graph_sign`` reads its sign on a cell back from the
+stacks, an f-atom being the function F(x⃗) − y (``value_gap``).  On the
+resulting cell decomposition every cell is homogeneous for every atom, so
+the matrix selects a set of full-level cells; quantifiers are then
 eliminated from the inside out — ∃ projects cells to their bases, ∀ runs
 the complement–project–complement dual.  A closed query ends at the origin
 cell (true) or the empty set (false); an open query returns the satisfying
@@ -36,14 +35,17 @@ cells at the free level with one exact sample point each.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Tokens, connective, nesting_limit, rational
-from .geometry import Arrangement, build_cd, make_arrangement, plane_sign
+from .geometry import Arrangement, build_cd, make_arrangement
+from .linprog import scaled_eval
 from .network import Network
-from .pwl import PwlFunction, graph_sign, lift_graph, pwl_from_network
+from .pwl import PwlFunction, _positions, graph_sign, lift_graph, pwl_from_network, value_gap
 
 __all__ = [
     "QueryError",
@@ -61,7 +63,12 @@ __all__ = [
 
 
 class QueryError(ValueError):
-    """Raised for malformed queries: syntax, arity, or nonlinearity."""
+    """Raised for malformed queries: syntax, arity, or nonlinearity.  ``pos``
+    is a syntax error's position in the text, and None for other errors."""
+
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message)
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +92,12 @@ class XLin:
 
 @dataclass(frozen=True)
 class XNode:
+    kind: str  # 'abs', 'min', 'max' or 'F'
     args: tuple  # XLin arguments
 
 
-class XAbs(XNode):
-    pass
-
-
-class XMin(XNode):
-    pass
-
-
-class XMax(XNode):
-    pass
-
-
-class XF(XNode):
-    pass
-
-
 # Formulas.  A matrix after lowering keeps PNot/PAnd/POr over the
-# matrix atoms MAtom, MFAtom and MBool.
+# matrix atoms MPwl, MFAtom and MBool.
 
 
 @dataclass(frozen=True)
@@ -155,10 +147,6 @@ def xlin_var(name: str) -> XLin:
     return XLin(Fraction(0), ((name, Fraction(1)),))
 
 
-def _node_form(node) -> XLin:
-    return XLin(Fraction(0), (), ((node, Fraction(1)),))
-
-
 def _sum(const, terms) -> XLin:
     """The form const + Σ q·f over the pairs (f, q) of terms."""
     coeffs, nodes = {}, {}
@@ -201,25 +189,22 @@ def _e_div(a: XLin, b: XLin) -> XLin:
     return _combine(_ZERO, a, 1 / b.const)
 
 
-def _e_abs(a: XLin) -> XLin:
-    return XLin(abs(a.const)) if _is_const(a) else _node_form(XAbs((a,)))
+_FOLD = {"abs": abs, "min": min, "max": max}
 
 
-def _e_min_max(kind, a: XLin, b: XLin) -> XLin:
-    """min(a, b) for kind XMin, max(a, b) for kind XMax."""
-    if _is_const(a) and _is_const(b):
-        return XLin((min if kind is XMin else max)(a.const, b.const))
-    return _node_form(kind((a, b)))
+def _node(kind: str, args) -> XLin:
+    """The node kind(args) as a form; abs, min and max of constants fold."""
+    if kind != "F" and all(map(_is_const, args)):
+        return XLin(_FOLD[kind](*(a.const for a in args)))
+    return XLin(Fraction(0), (), ((XNode(kind, tuple(args)), Fraction(1)),))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = {
-    "exists", "forall", "and", "or", "not",
-    "F", "abs", "min", "max", "dist_linf", "dist_l1",
-}
+_CALLS = ("F", "abs", "min", "max", "dist_linf", "dist_l1")
+_KEYWORDS = {"exists", "forall", "and", "or", "not", *_CALLS}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)"
@@ -230,7 +215,7 @@ _TOKEN = re.compile(
 
 
 def _syntax_error(message: str, at: int) -> QueryError:
-    return QueryError(f"{message} at position {at}")
+    return QueryError(f"{message} at position {at}", at)
 
 
 # How deeply formulas and expressions may nest: open '(', argument lists,
@@ -275,17 +260,22 @@ class _QueryParser(Tokens):
                 self.take()
             body = self.parse_formula()  # quantifier scope extends maximally
             return (PExists if quantifier == "exists" else PForall)(name, body)
-        if self.at("op", "("):
-            # try a parenthesized formula; fall back to a comparison
-            save = self.pos
+        if not self.at("op", "("):
+            return self.parse_comparison()
+        # a parenthesized formula, else a comparison; where both readings
+        # fail, the one that got further explains it (the formula on a tie)
+        save = self.pos
+        try:
             self.take()
-            try:
-                inner = self.parse_formula()
-                self.expect(")")
-                return inner
-            except QueryError:
-                self.pos = save
-        return self.parse_comparison()
+            inner = self.parse_formula()
+            self.expect(")")
+            return inner
+        except QueryError as err:
+            self.pos, formula_error = save, err
+        try:
+            return self.parse_comparison()
+        except QueryError as err:
+            raise max(formula_error, err, key=lambda e: -1 if e.pos is None else e.pos) from None
 
     def parse_comparison(self):
         lhs = self.parse_expr()
@@ -332,48 +322,29 @@ class _QueryParser(Tokens):
             e = self.parse_expr()
             self.expect(")")
             return e
-        if val == "F":
-            self.expect("(")
-            args = self.operands("op", ",", self.parse_expr)
-            self.expect(")")
-            if len(args) != self.m:
-                raise self.error(f"F takes {self.m} argument(s), got {len(args)}", at)
-            return _node_form(XF(tuple(args)))
-        if val == "abs":
-            self.expect("(")
-            e = self.parse_expr()
-            self.expect(")")
-            return _e_abs(e)
-        if val in ("min", "max"):
-            self.expect("(")
-            a = self.parse_expr()
-            self.expect(",")
-            b = self.parse_expr()
-            self.expect(")")
-            return _e_min_max(XMin if val == "min" else XMax, a, b)
-        if val in ("dist_linf", "dist_l1"):
-            self.expect("(")
-            left = self.operands("op", ",", self.parse_expr)
+        if val not in _CALLS:
+            if val in _KEYWORDS:
+                raise self.error(f"keyword {val!r} cannot be used here", at)
+            if val.startswith("__"):
+                raise QueryError("variable names starting with '__' are reserved")
+            return xlin_var(val)
+        self.expect("(")
+        args = self.operands("op", ",", self.parse_expr)
+        if val.startswith("dist_"):  # the max or the sum of |u_i − p_i|
             self.expect(";")
-            right = self.operands("op", ",", self.parse_expr)
+            anchor = self.operands("op", ",", self.parse_expr)
             self.expect(")")
-            if len(left) != len(right) or not left:
+            if len(args) != len(anchor):
                 raise QueryError(f"{val} needs two equal-length coordinate lists")
-            diffs = [_e_abs(_combine(a, b, -1)) for a, b in zip(left, right)]
-            if val == "dist_l1":
-                out = diffs[0]
-                for e in diffs[1:]:
-                    out = _combine(out, e, 1)
-                return out
-            out = diffs[0]
-            for e in diffs[1:]:
-                out = _e_min_max(XMax, out, e)
+            out, *rest = (_node("abs", (_combine(u, p, -1),)) for u, p in zip(args, anchor))
+            for e in rest:
+                out = _combine(out, e, 1) if val == "dist_l1" else _node("max", (out, e))
             return out
-        if val in _KEYWORDS:
-            raise self.error(f"keyword {val!r} cannot be used here", at)
-        if val.startswith("__"):
-            raise QueryError("variable names starting with '__' are reserved")
-        return xlin_var(val)
+        self.expect(")")
+        want = {"F": self.m, "abs": 1}.get(val, 2)
+        if len(args) != want:
+            raise self.error(f"{val} takes {want} argument(s), got {len(args)}", at)
+        return _node(val, args)
 
 
 def parse_query(text: str, m: int):
@@ -390,34 +361,18 @@ def parse_query(text: str, m: int):
 # ---------------------------------------------------------------------------
 
 
-class _Gensym:
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self, prefix: str) -> str:
-        self.n += 1
-        return f"__{prefix}{self.n}"
-
-
 def _map_terms(e: XLin, var=xlin_var, node=lambda _n: None) -> XLin:
     """The form e with every variable name replaced by the form var(name)
     and every node n by the form node(n), or, where that is None, by n over
-    its arguments mapped in turn; folded.  Renaming, case-splitting and F
-    extraction rewrite terms only through this map."""
+    its arguments mapped in turn; folded.  Renaming (parameters included)
+    and F extraction rewrite terms only through this map."""
     terms = [(var(name), c) for name, c in e.coeffs]
     for n, c in e.nodes:
         new = node(n)
         if new is None:
-            new = _node_form(type(n)(tuple(_map_terms(a, var, node) for a in n.args)))
+            new = _node(n.kind, [_map_terms(a, var, node) for a in n.args])
         terms.append((new, c))
     return _sum(e.const, terms)
-
-
-def _replace(e: XLin, old, new: XLin) -> XLin:
-    """e with every occurrence of the node old replaced by the form new."""
-    if not _occurs(old, e):
-        return e
-    return _map_terms(e, node=lambda n: new if n == old else None)
 
 
 def _occurs(node, e: XLin) -> bool:
@@ -472,7 +427,7 @@ def _rename_and_substitute(node, env, params, free_order, gensym):
     if isinstance(node, (PExists, PForall)):
         if node.var in params:
             raise QueryError(f"quantified variable {node.var!r} shadows a parameter")
-        fresh = gensym.fresh("b")
+        fresh = f"__b{next(gensym)}"
         inner = dict(env)
         inner[node.var] = fresh
         return type(node)(
@@ -483,46 +438,6 @@ def _rename_and_substitute(node, env, params, free_order, gensym):
     return _map_formula(node, _rename_and_substitute, env, params, free_order, gensym)
 
 
-def _first_sugar(e: XLin):
-    """The first abs/min/max node of e in split order, or None: a node's
-    arguments come before the node, and nodes left to right."""
-    for n, _c in e.nodes:
-        for a in n.args:
-            found = _first_sugar(a)
-            if found is not None:
-                return found
-        if not isinstance(n, XF):
-            return n
-    return None
-
-
-def _split(rel, lhs: XLin, rhs: XLin):
-    """The comparison lhs rel rhs with its abs/min/max nodes case-split away.
-
-    The first node in split order, lhs before rhs, is split outermost.
-    Each branch conjoins the guard that selects one of the node's values
-    with the comparison in which every occurrence of the node takes that
-    value, split in turn; the guard holds no sugar, because a node's
-    arguments are split before it.  What is left is an atom (``_atom``)."""
-    node = _first_sugar(lhs)
-    if node is None:
-        node = _first_sugar(rhs)
-    if node is None:
-        return _atom(rel, lhs, rhs)
-    if isinstance(node, XAbs):
-        (a,), b = node.args, _ZERO
-        cases = ((">=", a), ("<", _combine(_ZERO, a, -1)))
-    else:
-        a, b = node.args
-        low = isinstance(node, XMin)
-        cases = (("<=" if low else ">=", a), (">" if low else "<", b))
-    branches = [
-        (PCmp(g, a, b), _split(rel, _replace(lhs, node, v), _replace(rhs, node, v)))
-        for g, v in cases
-    ]
-    return connective(POr, [connective(PAnd, branch) for branch in branches])
-
-
 def _plain_var(e: XLin):
     """The variable's name if e is a single variable, else None."""
     if len(e.coeffs) == 1 and e == xlin_var(e.coeffs[0][0]):
@@ -530,40 +445,37 @@ def _plain_var(e: XLin):
     return None
 
 
-def _atom(rel, lhs, rhs):
-    """A sugar-free comparison; F(x⃗) = y over pairwise-distinct plain
-    variables becomes a structural f-atom untouched by extraction."""
-    for fe, other in ((lhs, rhs), (rhs, lhs)) if rel == "=" else ():
+def _f_atoms(node):
+    """The renamed tree with each F(x⃗) = y over pairwise-distinct plain
+    variables made a structural f-atom, which extraction leaves alone."""
+    if not isinstance(node, PCmp):
+        return _map_formula(node, _f_atoms)
+    for fe, other in ((node.lhs, node.rhs), (node.rhs, node.lhs)) if node.rel == "=" else ():
         fn = fe.nodes[0][0] if len(fe.nodes) == 1 else None
-        if isinstance(fn, XF) and fe == _node_form(fn):
+        if fn is not None and fn.kind == "F" and fe == _node("F", fn.args):
             names = [_plain_var(a) for a in (*fn.args, other)]
             if None not in names and len(set(names)) == len(names):
                 return PFAtom(tuple(names[:-1]), names[-1])
-    return PCmp(rel, lhs, rhs)
-
-
-def _desugar(node):
-    """The one pass from the renamed tree to atoms: abs/min/max are
-    case-split (``_split``) and F(x⃗) = y atoms become f-atoms."""
-    if isinstance(node, PCmp):
-        return _split(node.rel, node.lhs, node.rhs)
-    return _map_formula(node, _desugar)
+    return node
 
 
 def _extractable_occurrence(node, trigger):
-    """First F node to pull at this anchor: one with F-free arguments that
-    either meets the trigger set itself or sits inside a triggered node.
-    trigger=None matches everything.  After ``_desugar`` every node is an F
-    node."""
+    """First F node to pull at this anchor: the innermost F node that
+    either meets the trigger set itself or sits inside a triggered F node,
+    so its arguments are F-free.  trigger=None matches everything.  The
+    abs/min/max nodes around and between F nodes trigger nothing."""
 
     def from_form(e, forced):
         for n, _c in e.nodes:
-            hit = forced or trigger is None or any(_form_vars(a) & trigger for a in n.args)
+            is_f = n.kind == "F"
+            hit = forced or is_f and (
+                trigger is None or any(_form_vars(a) & trigger for a in n.args)
+            )
             for a in n.args:
                 found = from_form(a, hit)
                 if found is not None:
                     return found
-            if hit and not any(a.nodes for a in n.args):
+            if is_f and hit:
                 return n
         return None
 
@@ -577,11 +489,13 @@ def _extractable_occurrence(node, trigger):
     return None
 
 
-def _subst_occurrence(node, occ: XF, var_name: str):
+def _subst_occurrence(node, occ: XNode, var_name: str):
     """Replace every occurrence of the F node occ by the variable."""
     if isinstance(node, PCmp):
         r = xlin_var(var_name)
-        return PCmp(node.rel, _replace(node.lhs, occ, r), _replace(node.rhs, occ, r))
+        new = [_map_terms(e, node=lambda n: r if n == occ else None) if _occurs(occ, e) else e
+               for e in (node.lhs, node.rhs)]
+        return PCmp(node.rel, *new)
     return _map_formula(node, _subst_occurrence, occ, var_name)
 
 
@@ -605,13 +519,13 @@ def _pull_occurrences(node, trigger, gensym):
         for a in occ.args:
             name = _plain_var(a)
             if name is None or name in arg_names:
-                name = gensym.fresh("z")
+                name = f"__z{next(gensym)}"
                 names.append(name)
                 defs.append(PCmp("=", xlin_var(name), a))
                 if trigger_set is not None:
                     trigger_set.add(name)
             arg_names.append(name)
-        r = gensym.fresh("r")
+        r = f"__r{next(gensym)}"
         names.append(r)
         defs.append(PFAtom(tuple(arg_names), r))
         if trigger_set is not None:
@@ -662,8 +576,14 @@ class MBool:
 
 
 @dataclass(frozen=True)
-class MAtom:
-    coeffs: tuple  # (a_0..a_d), strict: a_0 + Σ a_i x_i > 0
+class MPwl:
+    """A comparison lhs ⋈ rhs: ``fn`` is lhs − rhs as a PWL function of the
+    variables x_{vars_1}, …, and the atom holds where fn's sign is one of
+    ``signs``."""
+
+    fn: PwlFunction
+    vars: tuple  # increasing 1-based variable indices, fn's argument order
+    signs: frozenset  # of −1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -675,7 +595,7 @@ class MFAtom:
 @dataclass(frozen=True)
 class OrderedPrenexQuery:
     """Normalized query: free variables first, then the quantifier prefix;
-    the matrix is PNot/PAnd/POr over MAtom, MFAtom and MBool."""
+    the matrix is PNot/PAnd/POr over MPwl, MFAtom and MBool."""
 
     free_vars: tuple  # user names of x_1..x_k
     var_names: tuple  # names of x_1..x_d (internal names after x_k)
@@ -683,34 +603,95 @@ class OrderedPrenexQuery:
     matrix: object
 
 
-def _strict_atom(lhs: XLin, rhs: XLin, pos):
-    """lhs − rhs > 0 as a matrix atom over x_1..x_d, or a constant."""
-    if lhs.nodes or rhs.nodes:
-        raise RuntimeError(f"unexpected node after normalization: {lhs!r} > {rhs!r}")
-    vec = [lhs.const - rhs.const] + [Fraction(0)] * len(pos)
-    for name, c in lhs.coeffs:
-        vec[pos[name]] = c
-    for name, c in rhs.coeffs:
-        vec[pos[name]] -= c
-    if all(a == 0 for a in vec[1:]):
-        return MBool(vec[0] > 0)
-    return MAtom(tuple(vec))
+# the signs of lhs − rhs that make lhs ⋈ rhs true
+_SIGNS = {r: frozenset(s) for r, s in (
+    (">", {1}), (">=", {0, 1}), ("=", {0}), ("<=", {-1, 0}), ("<", {-1}))}
+
+
+def _term_function(e: XLin, names) -> PwlFunction:
+    """The form e as a PWL function of the variables ``names``, built as
+    ``pwl_from_network`` builds F: its abs/min/max nodes are decided one
+    nesting level at a time, one ``pwl._positions`` refinement each.  A
+    node's decision form, its argument (abs), a − b (max) or b − a (min), is
+    read at each position's first cell, and where it is ≥ 0 the node takes
+    its first value (the argument, or a): ties go to the first branch.  The
+    non-constant decision forms join the breakplanes.  Each node is held
+    times a positive scale that makes its components ints (abs, min and max
+    commute with positive scaling); only e's components become Fractions."""
+    m = len(names)
+    at = {name: i for i, name in enumerate(names, start=1)}
+    index, scales, forms, depth = {}, [], [], []
+
+    def scaled(form, s=None):
+        # (s, base, weights): s·form = base + Σ w·(node j's value) in ints,
+        # s being the least scale that does this unless it is given
+        ratios = [form.const, *(c for _v, c in form.coeffs)]
+        ratios += [c / scales[index[n]] for n, c in form.nodes]
+        s = s or math.lcm(*(q.denominator for q in ratios))
+        ints = [q.numerator * (s // q.denominator) for q in ratios]
+        base = [ints[0]] + [0] * m
+        for (v, _c), a in zip(form.coeffs, ints[1:]):
+            base[at[v]] = a
+        nodes = zip(form.nodes, ints[1 + len(form.coeffs) :])
+        return s, base, [(index[n], w) for (n, _c), w in nodes]
+
+    def visit(form):  # number the nodes under form, arguments first
+        for n, _c in form.nodes:
+            if n.kind == "F":
+                raise RuntimeError(f"unexpected F node after normalization: {n!r}")
+            if n not in index:
+                for a in n.args:
+                    visit(a)
+                s = math.lcm(*(scaled(a)[0] for a in n.args))
+                forms.append((n.kind, [scaled(a, s)[1:] for a in n.args]))
+                below = [depth[index[k]] for a in n.args for k, _c in a.nodes]
+                depth.append(1 + max(below, default=0))
+                index[n] = len(scales)
+                scales.append(s)
+
+    def value(base, weights, vals):
+        return [b + sum(w * vals[j][i] for j, w in weights) for i, b in enumerate(base)]
+
+    def cases(j, vals):  # node j's decision form, first value and second value
+        kind, args = forms[j]
+        a = value(*args[0], vals)
+        if kind == "abs":
+            return a, a, [-v for v in a]
+        b = value(*args[1], vals)
+        return [u - v if kind == "max" else v - u for u, v in zip(a, b)], a, b
+
+    visit(e)
+    planes, values = (), {"": [None] * len(scales)}
+    for level in range(1, max(depth, default=0) + 1):
+        nodes, n_old = [j for j, k in enumerate(depth) if k == level], len(planes)
+        table = {(j, p): cases(j, vals) for j in nodes for p, vals in values.items()}
+
+        def post(pos, cell):
+            vals = list(values[pos[:n_old]])
+            for j in nodes:
+                d, first, second = table[j, pos[:n_old]]
+                vals[j] = first if scaled_eval(d, cell.num, cell.den) >= 0 else second
+            return vals
+
+        zero_sets = [d for d, _a, _b in table.values() if any(d[1:])]
+        planes, values = _positions(m, [*planes, *zero_sets], post)
+    s, base, weights = scaled(e)
+    polys = tuple(
+        (pos, tuple(Fraction(a, s) for a in value(base, weights, vals)))
+        for pos, vals in values.items()
+    )
+    return PwlFunction(m=m, breakplanes=planes, polytopes=polys)
 
 
 def _lower_matrix(node, pos):
-    """The matrix with each comparison written over strict atoms and each
-    f-atom over variable indices; the connectives stay."""
+    """The matrix with each comparison an MPwl (an MBool where no variable
+    is left) and each f-atom an MFAtom over variable indices."""
     if isinstance(node, PCmp):
-        lhs, rhs = node.lhs, node.rhs
-        if node.rel == ">":
-            return _strict_atom(lhs, rhs, pos)
-        if node.rel == "<":
-            return _strict_atom(rhs, lhs, pos)
-        if node.rel == ">=":
-            return PNot(_strict_atom(rhs, lhs, pos))
-        if node.rel == "<=":
-            return PNot(_strict_atom(lhs, rhs, pos))
-        return connective(PAnd, [PNot(_strict_atom(*s, pos)) for s in ((lhs, rhs), (rhs, lhs))])
+        e = _combine(node.lhs, node.rhs, -1)
+        names = sorted(_form_vars(e), key=pos.__getitem__)
+        if not names:  # nodes over constants have folded
+            return MBool(((e.const > 0) - (e.const < 0)) in _SIGNS[node.rel])
+        return MPwl(_term_function(e, names), tuple(pos[v] for v in names), _SIGNS[node.rel])
     if isinstance(node, PFAtom):
         return MFAtom(tuple(pos[a] for a in node.args), pos[node.result])
     return _map_formula(node, _lower_matrix, pos)
@@ -719,15 +700,15 @@ def _lower_matrix(node, pos):
 def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPrenexQuery:
     """Bring a query into ordered prenex normal form.
 
-    Steps: rename bound variables apart and substitute parameters; one
-    pass over the atoms case-splits abs/min/max and turns F(x⃗) = y into
-    f-atoms; pull the remaining F nodes into f-atoms with fresh variables;
-    prenex; rewrite non-strict/equality comparisons into boolean formulas
-    over strict atoms; assign the total variable order with free variables
-    first.  An f-atom's variables may take any places in that order.
+    Steps: rename bound variables apart and substitute parameters; turn
+    F(x⃗) = y atoms into f-atoms; pull the remaining F nodes into f-atoms
+    with fresh variables; prenex; assign the total variable order with
+    free variables first; and make each comparison one MPwl atom, its
+    abs/min/max nodes pieces of its function.  An f-atom's variables may
+    take any places in that order.
     """
     params = {k: rational(v) for k, v in (parameters or {}).items()}
-    gensym = _Gensym()
+    gensym = itertools.count(1)  # numbers the fresh variables
     seen_free = []
     tree = _rename_and_substitute(ast, {}, params, seen_free, gensym)
     if free_order is not None:
@@ -740,18 +721,17 @@ def normalize_ordered_prenex(ast, parameters=None, free_order=None) -> OrderedPr
         free_vars = tuple(free_order)
     else:
         free_vars = tuple(seen_free)
-    tree = _extract_f_atoms(_desugar(tree), gensym)
+    tree = _extract_f_atoms(_f_atoms(tree), gensym)
     tree = _pull_occurrences(tree, None, gensym)
 
     prefix, matrix = _prenex(tree)
     order = list(free_vars) + [v for _q, v in prefix]
     pos = {name: i + 1 for i, name in enumerate(order)}
-    lowered = _lower_matrix(matrix, pos)
     return OrderedPrenexQuery(
         free_vars=free_vars,
         var_names=tuple(order),
         prefix=tuple(q for q, _v in prefix),
-        matrix=lowered,
+        matrix=_lower_matrix(matrix, pos),
     )
 
 
@@ -773,38 +753,39 @@ def _matrix_nodes(node):
 
 
 def build_query_arrangement(f, q: OrderedPrenexQuery) -> Arrangement:
-    """A_f ∪ A_ψ in R^d: the constraint planes of the linear atoms, plus,
-    for each distinct f-atom F(x_g⃗) = x_j of the matrix, the PWL
-    function's ``lift_graph`` at (x_g⃗, x_j)."""
+    """A_f ∪ A_ψ in R^d: ``lift_graph`` of each comparison's function at its
+    variables, then, for each distinct f-atom F(x_g⃗) = x_j of the matrix,
+    of ``value_gap(f)`` at (x_g⃗, x_j)."""
     d = len(q.var_names)
     if d < 1:
         raise ValueError("arrangement needs at least one variable")
     nodes = list(_matrix_nodes(q.matrix))
-    planes = [n.coeffs for n in nodes if isinstance(n, MAtom)]
+    planes = [h for n in nodes if isinstance(n, MPwl) for h in lift_graph(n.fn, n.vars, d)]
     fatoms = dict.fromkeys(n for n in nodes if isinstance(n, MFAtom))
     if fatoms and f is None:
         raise ValueError("query contains F but no function was supplied")
     for atom in fatoms:
-        planes += lift_graph(f, atom.args, atom.result, d)
+        planes += lift_graph(value_gap(f), (*atom.args, atom.result), d)
     return make_arrangement(d, planes)
 
 
 def _predicate(cd, f, matrix):
     """The matrix lowered once into a predicate over full-level cell ids.
 
-    Every atom's sign on a cell is read from the decomposition's stacks: a
-    linear atom holds where its plane is positive, an f-atom where
-    ``graph_sign`` reads 0, that is, where the cell lies on F's graph.
+    Every atom's sign on a cell is read from the decomposition's stacks by
+    ``graph_sign``: a comparison holds where its function's sign is one of
+    its signs, an f-atom where ``value_gap(f)`` reads 0, that is, where the
+    cell lies on F's graph.
     """
     if isinstance(matrix, MBool):
         return lambda cid: matrix.value
-    if isinstance(matrix, MAtom):
-        if len(matrix.coeffs) != cd.d + 1:
+    if isinstance(matrix, MPwl):
+        if matrix.vars[-1] > cd.d:
             raise ValueError("decomposition is not compatible with the query arrangement")
-        sign = plane_sign(cd, matrix.coeffs)
-        return lambda cid: sign(cid) > 0
+        sign, signs = graph_sign(cd, matrix.fn, matrix.vars), matrix.signs
+        return lambda cid: sign(cid) in signs
     if isinstance(matrix, MFAtom):
-        sign = graph_sign(cd, f, matrix.args, matrix.result)
+        sign = graph_sign(cd, value_gap(f), (*matrix.args, matrix.result))
         return lambda cid: sign(cid) == 0
     if isinstance(matrix, PNot):
         body = _predicate(cd, f, matrix.body)
@@ -826,8 +807,8 @@ def _predicate(cd, f, matrix):
 def select_cells_qfree(cd, f, matrix) -> CellSet:
     """The set of full-level cells satisfying the quantifier-free matrix.
 
-    The decomposition must be built over every plane of the matrix (atom
-    planes, and F's instantiated breakplanes and graphs for each f-atom);
+    The decomposition must be built over every plane of the matrix (each
+    atom's ``lift_graph``, as ``build_query_arrangement`` places them);
     otherwise a ValueError reports it as not compatible.  Every atom is then
     sign-invariant on every cell, and its sign is read from the stacks, so
     no cell is decided by arithmetic.

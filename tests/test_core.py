@@ -113,6 +113,8 @@ PARSE = {
         ("query", "x > {1}", 4),  # '{' is no query token
         ("query", "exists x . F(x) >", 17),
         ("query", "max(x, 1 < 2", 9),
+        ("query", "(x > 0", 6),  # a missing ')' is blamed on the end
+        ("fosum", "exists x (E(x, out1) and b(x) < 1", 33),
         ("fosum", "b(in1) ; 1", 7),  # nor ';' an FO+SUM one
         ("fosum", "b(in1) < 1 and", 14),
         ("fosum", "b(in1 < 1", 6),

@@ -23,6 +23,7 @@ from nnquery.pwl import (
     scale_stage,
     sign_position,
     sum_stage,
+    value_gap,
 )
 
 from oracles import (
@@ -455,12 +456,30 @@ class TestGraphSign:
             for _ in range(6):
                 net = random_network(rng, len(args), rng.randint(*depths), max_width=3)
                 f = pwl_from_network(net)
-                cd = build_cd(make_arrangement(d, lift_graph(f, args, result, d)))
-                sign = graph_sign(cd, f, args, result)
+                gap = value_gap(f)
+                cd = build_cd(make_arrangement(d, lift_graph(gap, (*args, result), d)))
+                sign = graph_sign(cd, gap, (*args, result))
                 for cell in cd.levels[d]:
                     x = cell.sample
                     gap = pwl_eval(f, [x[g - 1] for g in args]) - x[result - 1]
                     assert sign(cell.id) == (gap > 0) - (gap < 0), (args, result, x)
+
+
+    def test_constant_component_has_constant_sign(self):
+        # max(x2, 1) − 2 read at x2 of R^2: the piece x2 < 1 is the constant
+        # −1, which places no plane and is negative on every cell
+        fn = PwlFunction(
+            m=1,
+            breakplanes=((-1, 1),),
+            polytopes=(("-", (F(-1), F(0))), ("=", (F(-2), F(1))), ("+", (F(-2), F(1)))),
+        )
+        planes = lift_graph(fn, (2,), 2)
+        assert planes == [(-1, 0, 1), (F(-2), 0, F(1))]
+        cd = build_cd(make_arrangement(2, planes))
+        sign = graph_sign(cd, fn, (2,))
+        for cell in cd.levels[2]:
+            value = pwl_eval(fn, [cell.sample[1]])
+            assert sign(cell.id) == (value > 0) - (value < 0)
 
 
 class TestRestriction:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,12 @@ import pytest
 from nnquery.geometry import build_cd, canonicalize, make_arrangement
 from nnquery.linprog import affine_eval
 from nnquery.network import Network, Neuron
-from nnquery.pwl import pwl_eval, pwl_from_network
+from nnquery.pwl import PwlFunction, pwl_eval, pwl_from_network
 from nnquery.query import (
     CellSet,
-    MAtom,
     MBool,
     MFAtom,
+    MPwl,
     PAnd,
     PNot,
     POr,
@@ -54,7 +55,13 @@ def const_net():
 
 
 def _atoms(matrix):
-    return [n for n in _matrix_nodes(matrix) if isinstance(n, (MAtom, MFAtom))]
+    return [n for n in _matrix_nodes(matrix) if isinstance(n, (MPwl, MFAtom))]
+
+
+def _linear_atom(coeffs):
+    """The comparison a_0 + Σ a_i·x_i > 0 as a matrix atom."""
+    fn = PwlFunction(m=len(coeffs) - 1, breakplanes=(), polytopes=(("", coeffs),))
+    return MPwl(fn, tuple(range(1, len(coeffs))), frozenset({1}))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,8 @@ class TestParse:
     def test_decimal_literal_is_exact(self):
         opq = normalize_ordered_prenex(parse_query("x > 0.9", 1))
         (atom,) = _atoms(opq.matrix)
-        assert atom.coeffs == (Fraction(-9, 10), Fraction(1))
+        assert atom.fn.polytopes == (("", (Fraction(-9, 10), Fraction(1))),)
+        assert atom.signs == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +165,15 @@ class TestParse:
 class TestNormalize:
     def test_fixpoint_shape(self):
         # ∃x F(x)=x becomes two variables: the argument and a fresh result,
-        # linked by F(x1)=x2 and a strict-atom encoding of x1−x2=0.
+        # linked by F(x1)=x2 and the atom x2 − x1 = 0.
         opq = normalize_ordered_prenex(parse_query("exists x . F(x) = x", 1))
         assert len(opq.var_names) == 2
         assert opq.prefix == ("exists", "exists")
         fatoms = [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MFAtom)]
         assert fatoms == [MFAtom(args=(1,), result=2)]
-        # the equality appears as ¬(x1−x2>0) ∧ ¬(x2−x1>0)
-        coeff_sets = {
-            n.coeffs for n in _matrix_nodes(opq.matrix) if isinstance(n, MAtom)
-        }
-        assert (Fraction(0), Fraction(1), Fraction(-1)) in coeff_sets
-        assert (Fraction(0), Fraction(-1), Fraction(1)) in coeff_sets
+        (equality,) = [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MPwl)]
+        assert equality.vars == (1, 2) and equality.signs == {0}
+        assert equality.fn.polytopes == (("", (Fraction(0), Fraction(-1), Fraction(1))),)
 
     def test_already_ordered_is_unchanged_up_to_renaming(self):
         opq = normalize_ordered_prenex(
@@ -181,20 +186,22 @@ class TestNormalize:
         ]
 
     def test_abs_becomes_two_sided_case_split(self):
-        # |x| < 1 holds exactly on the open interval (−1, 1)
+        # |x| < 1 holds exactly on the open interval (−1, 1): one atom whose
+        # function |x| − 1 breaks at x = 0 into x − 1 (x ≥ 0) and −x − 1
         opq = normalize_ordered_prenex(parse_query("abs(x) < 1", 1))
         assert opq.free_vars == ("x",)
-        planes = {a.coeffs for a in _atoms(opq.matrix) if isinstance(a, MAtom)}
-        # case-split guard x ≥ 0 / x < 0 plus both shifted comparisons
-        assert (Fraction(1), Fraction(-1)) in planes  # 1 − x > 0
-        assert (Fraction(1), Fraction(1)) in planes  # 1 + x > 0
+        (atom,) = _atoms(opq.matrix)
+        assert opq.matrix == atom and atom.signs == {-1}
+        assert atom.fn.breakplanes == ((0, 1),)
+        assert dict(atom.fn.polytopes) == {"-": (-1, -1), "=": (-1, 1), "+": (-1, 1)}
+        assert build_query_arrangement(None, opq).hyperplanes == ((0, 1), (1, 1), (-1, 1))
 
     def test_parameters_substitute_as_rationals(self):
         opq = normalize_ordered_prenex(
             parse_query("x > a", 1), parameters={"a": "3/2"}
         )
         (atom,) = _atoms(opq.matrix)
-        assert atom.coeffs == (Fraction(-3, 2), Fraction(1))
+        assert atom.fn.polytopes == (("", (Fraction(-3, 2), Fraction(1))),)
 
     def test_quantified_variable_shadowing_parameter_rejected(self):
         with pytest.raises(QueryError, match="shadows"):
@@ -282,10 +289,28 @@ class TestNormalize:
         assert planes[0] == planes[1]
         assert len(planes[0]) == 3
 
+    def test_abs_chain_builds_only_its_pieces(self):
+        # k abs nodes over one variable: k breakplanes and at most k + 1
+        # component planes in one atom, not one branch per sign pattern
+        opq = normalize_ordered_prenex(parse_query(f"exists x . {_abs_chain(10)} < 30", 1))
+        assert opq.prefix == ("exists",) and isinstance(opq.matrix, MPwl)
+        assert len(build_query_arrangement(None, opq).hyperplanes) <= 21
+
+    def test_long_abs_chain_evaluates_quickly(self, relu_net):
+        # Σ |x − i| over i < 16 is 64 at least, on [7, 8]
+        start = time.perf_counter()
+        assert evaluate_query(relu_net, f"exists x . {_abs_chain(16)} < 64").truth is False
+        assert evaluate_query(relu_net, f"exists x . {_abs_chain(16)} <= 64").truth is True
+        assert time.perf_counter() - start < 2
+
     def test_zero_coefficient_drops_f(self):
         opq = normalize_ordered_prenex(parse_query("F(x) * 0 + x > 0", 1))
         assert opq.var_names == ("x",)
         assert not [n for n in _matrix_nodes(opq.matrix) if isinstance(n, MFAtom)]
+
+
+def _abs_chain(k):
+    return " + ".join(f"abs(x - {i})" for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +437,42 @@ def _counterfactual_planes(net, box):
 
 
 def test_benchmark_query_shapes_are_pinned():
-    one_in = (
-        (-1, 2, 0), (-5, 4, 0), (1, 4, 0), (-1, 0, 4), (-3, 0, 4), (1, 0, 4),
-        (-1, 3, -2), (-3, 8, -4),
-    )
+    # each robustness block: the planes in the order built, then the same
+    # set as the 2^k case split of abs/min/max gave it
     a1 = (Fraction(1, 2),)
-    assert _robustness_planes(_NET_1IN, a1, "linf") == one_in
-    assert _robustness_planes(_NET_1IN, a1, "l1") == one_in
+    for metric in ("linf", "l1"):
+        one_in = _robustness_planes(_NET_1IN, a1, metric)
+        assert one_in == (
+            (-1, 2, 0), (1, 4, 0), (-5, 4, 0), (-1, 0, 4), (1, 0, 4), (-3, 0, 4),
+            (-1, 3, -2), (-3, 8, -4),
+        )
+        assert set(one_in) == {
+            (-1, 2, 0), (-5, 4, 0), (1, 4, 0), (-1, 0, 4), (-3, 0, 4), (1, 0, 4),
+            (-1, 3, -2), (-3, 8, -4),
+        }
     a2 = (Fraction(1, 4), Fraction(-1, 2))
-    assert _robustness_planes(_NET_2IN, a2, "linf") == (
+    linf = _robustness_planes(_NET_2IN, a2, "linf")
+    assert linf == (
+        (-1, 4, 0, 0), (1, 0, 2, 0), (-3, 4, -4, 0), (1, 4, 4, 0), (5, 0, 4, 0),
+        (1, 2, 0, 0), (-1, 0, 4, 0), (-1, 1, 0, 0), (-27, 0, 0, 8), (-23, 0, 0, 8),
+        (-31, 0, 0, 8), (1, 1, -2, 0), (3, 3, -6, -2), (0, 0, 0, 1),
+    )
+    assert set(linf) == {
         (-1, 4, 0, 0), (1, 0, 2, 0), (-3, 4, -4, 0), (-1, 1, 0, 0), (-1, 0, 4, 0),
         (1, 4, 4, 0), (5, 0, 4, 0), (1, 2, 0, 0), (-27, 0, 0, 8), (-31, 0, 0, 8),
         (-23, 0, 0, 8), (1, 1, -2, 0), (3, 3, -6, -2), (0, 0, 0, 1),
+    }
+    l1 = _robustness_planes(_NET_2IN, a2, "l1")
+    assert l1 == (
+        (-1, 4, 0, 0), (1, 0, 2, 0), (1, 1, 1, 0), (0, 1, -1, 0), (-3, 2, -2, 0),
+        (-1, 2, 2, 0), (-27, 0, 0, 8), (-23, 0, 0, 8), (-31, 0, 0, 8), (1, 1, -2, 0),
+        (3, 3, -6, -2), (0, 0, 0, 1),
     )
-    assert _robustness_planes(_NET_2IN, a2, "l1") == (
+    assert set(l1) == {
         (-1, 4, 0, 0), (1, 0, 2, 0), (-1, 2, 2, 0), (-3, 2, -2, 0), (0, 1, -1, 0),
         (1, 1, 1, 0), (-27, 0, 0, 8), (-31, 0, 0, 8), (-23, 0, 0, 8), (1, 1, -2, 0),
         (3, 3, -6, -2), (0, 0, 0, 1),
-    )
+    }
     assert _counterfactual_planes(_NET_1IN, [(-2, 2)]) == (
         (-1, 0, 2), (2, 1, 0), (-2, 1, 0), (-1, 2, 0), (-1, 3, -2), (-1, 0, 4), (-3, 8, -4),
     )
@@ -448,14 +491,14 @@ class TestSelection:
     def test_positive_side_of_a_single_plane(self):
         arr = make_arrangement(1, [(Fraction(0), Fraction(1))])
         cd = build_cd(arr)
-        s = select_cells_qfree(cd, None, MAtom((Fraction(0), Fraction(1))))
+        s = select_cells_qfree(cd, None, _linear_atom((Fraction(0), Fraction(1))))
         picked = [cd.index[cid] for cid in s.ids]
         assert len(picked) == 1 and picked[0].sample[0] > 0
 
     def test_tautology_selects_every_cell(self):
         arr = make_arrangement(1, [(Fraction(0), Fraction(1))])
         cd = build_cd(arr)
-        atom = MAtom((Fraction(0), Fraction(1)))
+        atom = _linear_atom((Fraction(0), Fraction(1)))
         tautology = PNot(PAnd((atom, PNot(atom))))
         s = select_cells_qfree(cd, None, tautology)
         assert s.ids == frozenset(c.id for c in cd.levels[1])
@@ -480,7 +523,7 @@ class TestSelection:
     def test_incompatible_decomposition_rejected(self):
         cd = build_cd(make_arrangement(1, [(Fraction(0), Fraction(1))]))
         with pytest.raises(ValueError, match="not compatible"):
-            select_cells_qfree(cd, None, MAtom((Fraction(-1), Fraction(1))))
+            select_cells_qfree(cd, None, _linear_atom((Fraction(-1), Fraction(1))))
 
     def test_incompatible_decomposition_rejected_for_f_atoms(self, relu_net):
         # F(x1) = x2 needs the breakplane x1 = 0 and both graphs, x2 = 0 and
@@ -515,7 +558,7 @@ class TestSelection:
                 text, _prefix, _tree = _permuted_sentence(rng, d, m, rng.randint(1, 3))
             opq = normalize_ordered_prenex(parse_query(text, m))
             flipped += any(  # a negative leading coefficient
-                isinstance(n, MAtom) and next(a for a in n.coeffs[1:] if a) < 0
+                isinstance(n, MPwl) and next(a for a in n.fn.polytopes[0][1][1:] if a) < 0
                 for n in _matrix_nodes(opq.matrix)
             )
             cd = build_cd(build_query_arrangement(f, opq))
@@ -695,8 +738,9 @@ def _sample_satisfies(f, matrix, sample) -> bool:
     sample point."""
     if isinstance(matrix, MBool):
         return matrix.value
-    if isinstance(matrix, MAtom):
-        return affine_eval(matrix.coeffs, sample) > 0
+    if isinstance(matrix, MPwl):
+        value = pwl_eval(matrix.fn, [sample[g - 1] for g in matrix.vars])
+        return (value > 0) - (value < 0) in matrix.signs
     if isinstance(matrix, MFAtom):
         proj = tuple(sample[g - 1] for g in matrix.args)
         return affine_eval(f.component_at(proj), proj) == sample[matrix.result - 1]
@@ -848,15 +892,28 @@ def _random_linear(rng, vs):
 
 def _random_sugar(rng, vs, depth=0):
     """A sugar tree: ('lin', text), ('abs', s), ('min' or 'max', s, s), or
-    ('dist_linf' or 'dist_l1', ((u, p), ...)) over linear coordinates."""
+    ('dist_linf' or 'dist_l1', ((u, p), ...)) over linear coordinates.  At
+    the top it is sometimes one of the nested pieces abs(max(…)),
+    min(abs(…), …) and abs(dist_*(…))."""
     sugar = ["abs", "min", "max", "dist_linf", "dist_l1"]
-    kind = "lin" if depth == 2 else rng.choice(sugar + ["lin"] * (2 * depth))
+    nested = ["abs max", "min abs", "abs dist"] if depth == 0 else []
+    kind = "lin" if depth == 2 else rng.choice(sugar + nested + ["lin"] * (2 * depth))
     if kind == "lin":
         return ("lin", _random_linear(rng, vs))
+    if kind == "abs max":
+        return ("abs", ("max", _random_sugar(rng, vs, 1), _random_sugar(rng, vs, 1)))
+    if kind == "min abs":
+        return ("min", ("abs", _random_sugar(rng, vs, 1)), _random_sugar(rng, vs, 1))
+    if kind == "abs dist":
+        return ("abs", _random_dist(rng, vs, rng.choice(("dist_linf", "dist_l1"))))
     if kind == "abs":
         return ("abs", _random_sugar(rng, vs, depth + 1))
     if kind in ("min", "max"):
         return (kind, _random_sugar(rng, vs, depth + 1), _random_sugar(rng, vs, depth + 1))
+    return _random_dist(rng, vs, kind)
+
+
+def _random_dist(rng, vs, kind):
     n = rng.randint(1, 2)
     return (kind, tuple((_random_linear(rng, vs), _random_linear(rng, vs)) for _ in range(n)))
 
@@ -913,6 +970,23 @@ def test_sugar_agrees_with_its_sugar_free_equivalent(relu_net):
         assert got == want, (prefix, sugared, plain)
         truths.append(got)
     assert 15 <= truths.count(True) <= 45
+
+
+def test_open_sugar_queries_agree_with_their_sugar_free_equivalents(relu_net):
+    # open queries in x and y: every sample cell of either side satisfies
+    # the other side's query at that point
+    rng = random.Random(20261021)
+    answered = 0
+    for _ in range(24):
+        vs = rng.sample(["x", "y"], rng.randint(1, 2))
+        s, rel, c = _random_sugar(rng, vs), rng.choice("<>"), _random_linear(rng, vs)
+        sides = (f"{_sugar_text(s)} {rel} {c}", _sugar_free(s, rel, c))
+        for one, other in (sides, sides[::-1]):
+            cells = evaluate_query(relu_net, one, free_order=sorted(vs)).cells
+            answered += bool(cells)
+            for _cid, sample in cells:
+                assert evaluate_query(relu_net, other, parameters=sample).truth, (one, sample)
+    assert answered >= 24
 
 
 def test_zero_denominator_parameter_is_a_value_error(relu_net):
